@@ -2,10 +2,11 @@
 them, the nonvanishing test for a family of sections, and point lifting
 through a purely inseparable degree-p quotient presentation.
 
-The headline operation is verify_equivalence: on a chart that descends, with
-a derivation that descends, it builds the quotient presentation from the
-factorization report and confirms over seeded random local points that a
-point lifts exactly when every supplied section pulls back to zero.
+The headline operation is verify_equivalence. descend_and_factor descends a
+chart and its derivation to their model and factors the descended
+derivation; verify_equivalence builds the quotient presentation from that
+factorization and confirms over seeded random local points that a point
+lifts exactly when every supplied section pulls back to zero.
 """
 
 import random
@@ -15,7 +16,7 @@ from .algebra import MultiPoly, FunField
 from .series import LaurentSeries, NotSimpleRoot
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
-from .foliation import _generator_monomials
+from .foliation import _generator_monomials, frobenius_factorization_check
 from ._linalg import solve_span
 
 
@@ -173,12 +174,12 @@ class QuotientPresentation:
     images[v] is phi^*(v) as a polynomial on the source chart. Construction
     verifies that every image has degree <= p in each source variable and
     that the p-th power of every source variable lies in the subring the
-    images generate (searched up to degree_bound).
+    images generate (searched up to degree 3p).
     """
 
-    __slots__ = ("source", "target", "images", "degree_bound")
+    __slots__ = ("source", "target", "images")
 
-    def __init__(self, source, target, images, degree_bound=None):
+    def __init__(self, source, target, images):
         if source.domain != target.domain:
             raise UnsupportedPresentation("source and target have different domains")
         p = source.domain.p
@@ -201,16 +202,16 @@ class QuotientPresentation:
                     raise UnsupportedPresentation(
                         f"image of {v} has degree > p in {s}"
                     )
-        self.degree_bound = 3 * p if degree_bound is None else degree_bound
+        bound = 3 * p
         image_list = list(self.images.values())
-        products = _generator_monomials(source, image_list, self.degree_bound)
+        products = _generator_monomials(source, image_list, bound)
         vectors = [poly.terms for _, poly in products]
         for s in source.vars:
             target_poly = source.nf(source.var(s) ** p)
             if solve_span(vectors, target_poly.terms) is None:
                 raise UnsupportedPresentation(
                     f"{s}^{p} is not visibly in the image subring "
-                    f"(degree bound {self.degree_bound})"
+                    f"(degree bound {bound})"
                 )
 
     def to_json(self):
@@ -434,32 +435,47 @@ def _has_unit_section(sections):
     return False
 
 
+class DescendedChart:
+    """A chart's model over K^p, its descended derivation, and the
+    factorization of that derivation's constants."""
+
+    __slots__ = ("pair", "derivation", "factorization")
+
+    def __init__(self, pair, derivation, factorization):
+        self.pair = pair
+        self.derivation = derivation
+        self.factorization = factorization
+
+
+def descend_and_factor(chart, D):
+    """Descend the chart and D to their model, then factor the descended D."""
+    pair = descend_algebra(chart)
+    Dm = descend_derivation(D, pair)
+    return DescendedChart(pair, Dm, frobenius_factorization_check(Dm))
+
+
 def verify_equivalence(
-    chart,
-    D,
+    descended,
     sections,
     trials=200,
     seed=0,
     N=64,
     assert_generated=False,
     verbose=False,
-    factorization_bound=None,
 ):
     """Check lift-exists == every-section-pulls-back-to-zero on random points.
 
-    The chart and derivation are first descended to their model; the quotient
-    presentation comes from the factorization of the descended derivation.
-    Points are generated with the p-th-power bias so both outcomes occur.
+    descended comes from descend_and_factor on the chart the sections live
+    on; the quotient presentation comes from its factorization, and the
+    sections are descended to its model. Points are generated with the
+    p-th-power bias so both outcomes occur.
     The run is marked inconclusive unless some section has a unit
     coefficient or assert_generated is set (the generation hypothesis for
     the section family has no chart-level test).
     """
-    from .foliation import frobenius_factorization_check
-
-    pair = descend_algebra(chart)
+    pair = descended.pair
     model = pair.model
-    Dm = descend_derivation(D, pair)
-    report_fact = frobenius_factorization_check(Dm, max_total=factorization_bound)
+    report_fact = descended.factorization
     if report_fact.quotient is None:
         raise UnsupportedPresentation(
             "the constants of the derivation do not present as a chart"

@@ -447,10 +447,6 @@ class RatFunc:
         return f"<ratfunc {self}>"
 
 
-def ratfunc_derivative(r):
-    return r.derivative()
-
-
 class FunField:
     """K = F_q(t) as a coefficient domain for MultiPoly."""
 

@@ -9,25 +9,19 @@ byte-identical JSON, so the outputs are usable as golden files.
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import gf, raynaud, tango
 from .algebra import ChartAlgebra, FunField, parse_poly
 from .differentials import OneForm, reduce_form
-from .descent import NoDescent, descend_algebra, descend_derivation
-from .foliation import (
-    Derivation,
-    frobenius_factorization_check,
-    is_p_closed_rank1,
-    kernel_of_form,
-    p_power,
-    pairing,
-)
+from .descent import NoDescent, descend_algebra
+from .foliation import Derivation, is_p_closed_rank1, kernel_of_form, p_power, pairing
 from .adelic import (
+    descend_and_factor,
     pullback_form,
     random_local_point,
     star_condition,
@@ -67,6 +61,11 @@ class RunReport:
         self.checks.append({"name": name, "status": status,
                             "values": _plain(values)})
         return status
+
+    def extend(self, prefix, other):
+        """Append the checks of another report, named under prefix/."""
+        for c in other.checks:
+            self.checks.append({**c, "name": f"{prefix}/{c['name']}"})
 
     @property
     def status(self):
@@ -147,7 +146,7 @@ def _default_degn(p, d):
 # subcommands
 
 
-def cmd_tango_verify(p, d, q=None, precision=None, **_):
+def cmd_tango_verify(p, d, q=None, precision=None):
     rep = RunReport("tango-verify", {"p": p, "d": d, "q": q, "precision": precision})
     field = _build_field(p, q) if q else None
     try:
@@ -178,7 +177,7 @@ def _ledger_section(rep, prefix, data):
                 lhs=c["lhs"], rhs=c["rhs"])
 
 
-def cmd_raynaud_ledger(p, d, degN=None, **_):
+def cmd_raynaud_ledger(p, d, degN=None):
     if degN is None:
         degN = _default_degn(p, d)
     rep = RunReport("raynaud-ledger", {"p": p, "d": d, "degN": degN})
@@ -207,9 +206,10 @@ def cmd_raynaud_ledger(p, d, degN=None, **_):
     return rep
 
 
-def cmd_foliation(p, d, chart="raynaud-local", q=None, **_):
+def cmd_foliation(p, d, chart="raynaud-local", q=None, built=None):
+    """built: the (chart, D, sections) of preset_chart, when already built."""
     rep = RunReport("foliation", {"p": p, "d": d, "chart": chart, "q": q})
-    ch, D, sections = preset_chart(chart, p, d, q)
+    ch, D, sections = built or preset_chart(chart, p, d, q)
     rep.add("kernel-derivation", PASS,
             images={v: str(c) for v, c in zip(ch.vars, D.coeffs)})
     for i, w in enumerate(sections):
@@ -225,10 +225,15 @@ def cmd_foliation(p, d, chart="raynaud-local", q=None, **_):
     return rep
 
 
-def cmd_quotient(p, d, chart="raynaud-local", q=None, **_):
+def cmd_quotient(p, d, chart="raynaud-local", q=None, descended=None):
+    """Checks on the factorization of the descended derivation; descended is
+    the chart's descend_and_factor result, when already built."""
     rep = RunReport("quotient", {"p": p, "d": d, "chart": chart, "q": q})
-    ch, D, _sections = preset_chart(chart, p, d, q)
-    fact = frobenius_factorization_check(D)
+    if descended is None:
+        ch, D, _sections = preset_chart(chart, p, d, q)
+        descended = descend_and_factor(ch, D)
+    ch, D = descended.pair.model, descended.derivation
+    fact = descended.factorization
     rep.add("constants-generated", PASS if fact.generated_up_to_bound else INCONCLUSIVE,
             degree_bound=fact.degree_bound)
     bad = [name for name, g in fact.generators if not D.apply(g).is_zero()]
@@ -261,13 +266,10 @@ def _chart_from_poly(text, q=3):
             names.append(s)
     if not names:
         raise ValueError("no variables in the polynomial")
-    p = None
-    for prime in (2, 3, 5, 7, 11, 13):
-        if q % prime == 0:
-            p = prime
-            break
-    if p is None or not gf._is_prime(p):
+    if q < 2:
         raise ValueError(f"cannot read a characteristic from q = {q}")
+    # the smallest factor above 1 is prime; _build_field checks q is its power
+    p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
     K = FunField(_build_field(p, q))
     poly = parse_poly(text, tuple(names), K)
     designated = None
@@ -283,7 +285,7 @@ def _chart_from_poly(text, q=3):
     return ChartAlgebra(K, tuple(names), [(poly, designated)])
 
 
-def cmd_descend(poly, q=3, **_):
+def cmd_descend(poly, q=3):
     rep = RunReport("descend", {"poly": poly, "q": q})
     try:
         chart = _chart_from_poly(poly, q)
@@ -302,7 +304,7 @@ def cmd_descend(poly, q=3, **_):
 
 
 def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
-                   precision=64, **_):
+                   precision=64):
     rep = RunReport("star-check", {"p": p, "d": d, "chart": chart, "q": q,
                                    "trials": trials, "seed": seed,
                                    "precision": precision})
@@ -332,13 +334,17 @@ def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
 
 
 def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
-                    precision=64, assert_generated=False, verbose=False, **_):
+                    precision=64, assert_generated=False, verbose=False,
+                    built=None, descended=None):
+    """built and descended: the preset_chart and descend_and_factor results
+    for the chart, when already built."""
     rep = RunReport("equiv-check", {"p": p, "d": d, "chart": chart, "q": q,
                                     "trials": trials, "seed": seed,
                                     "precision": precision,
                                     "assert_generated": assert_generated})
-    ch, D, sections = preset_chart(chart, p, d, q)
-    data = verify_equivalence(ch, D, sections, trials=trials, seed=seed,
+    ch, D, sections = built or preset_chart(chart, p, d, q)
+    data = verify_equivalence(descended or descend_and_factor(ch, D), sections,
+                              trials=trials, seed=seed,
                               N=precision, assert_generated=assert_generated,
                               verbose=verbose)
     rep.add("model-and-presentation", PASS,
@@ -364,9 +370,10 @@ def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
 
 
 def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
-                 jobs=1, verbose=False, **_):
-    # jobs is execution plumbing, not a parameter of the result; keeping it
-    # out of the report makes --jobs 1 and --jobs 2 byte-identical
+                 verbose=False):
+    """The chain curve -> ledger -> chart, D and sections -> foliation ->
+    descent and factorization -> quotient -> equivalence; each stage result
+    is built once and handed to the stages after it."""
     rep = RunReport("pipeline", {"p": p, "d": d, "degN": degN, "seed": seed,
                                  "trials": trials, "precision": precision,
                                  "q": q})
@@ -393,27 +400,13 @@ def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
         degN = _default_degn(p, d)
     rep.parameters["degN"] = degN
 
-    def tango_part():
-        return cmd_tango_verify(p, d, q=q)
-
-    def ledger_part():
-        return cmd_raynaud_ledger(p, d, degN=degN)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            f1 = ex.submit(tango_part)
-            f2 = ex.submit(ledger_part)
-            tango_rep, ledger_rep = f1.result(), f2.result()
-    else:
-        tango_rep, ledger_rep = tango_part(), ledger_part()
-    for c in tango_rep.checks:
-        rep.checks.append({**c, "name": f"tango/{c['name']}"})
-    for c in ledger_rep.checks:
-        rep.checks.append({**c, "name": f"lattice/{c['name']}"})
+    rep.extend("tango", cmd_tango_verify(p, d, q=q))
+    rep.extend("lattice", cmd_raynaud_ledger(p, d, degN=degN))
     if rep.status == FAIL:
         return rep
 
-    ch, D, sections = preset_chart("raynaud-local", p, d, q)
+    built = preset_chart("raynaud-local", p, d, q)
+    ch, D, _sections = built
     rdx = reduce_form(OneForm.d(ch, ch.var("x")))
     want = OneForm(ch, [ch.zero(), ch.zero(),
                         ch.constant(ch.domain.from_int(d)) * ch.var("z") ** (d - 1)])
@@ -421,28 +414,21 @@ def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
     rep.add("local-chart/saturation-identity", PASS if sat_ok else FAIL,
             reduced=str(rdx), expected=str(want))
 
-    fol = cmd_foliation(p, d, q=q)
-    for c in fol.checks:
-        rep.checks.append({**c, "name": f"foliation/{c['name']}"})
-    quo = cmd_quotient(p, d, q=q)
-    for c in quo.checks:
-        rep.checks.append({**c, "name": f"quotient/{c['name']}"})
-    if rep.status == FAIL:
-        return rep
-
+    rep.extend("foliation", cmd_foliation(p, d, q=q, built=built))
     try:
-        pair = descend_algebra(ch)
-        descend_derivation(D, pair)
-        rep.add("descent/model-and-derivation", PASS,
-                provenance_entries=len(pair.provenance))
+        descended = descend_and_factor(ch, D)
     except NoDescent as e:
         rep.add("descent/model-and-derivation", FAIL, error=str(e))
         return rep
+    rep.extend("quotient", cmd_quotient(p, d, q=q, descended=descended))
+    if rep.status == FAIL:
+        return rep
+    rep.add("descent/model-and-derivation", PASS,
+            provenance_entries=len(descended.pair.provenance))
 
-    eq = cmd_equiv_check(p, d, trials=trials, seed=seed, precision=precision,
-                         q=q, verbose=verbose)
-    for c in eq.checks:
-        rep.checks.append({**c, "name": f"equivalence/{c['name']}"})
+    rep.extend("equivalence", cmd_equiv_check(
+        p, d, trials=trials, seed=seed, precision=precision, q=q,
+        verbose=verbose, built=built, descended=descended))
 
     rep.add("conclusion/rationality-criterion", ASSERTED,
             note="the checks above verify the numerical and foliation inputs "
@@ -474,9 +460,9 @@ def _add_common(sp, *names):
         sp.add_argument("--trials", type=int, default=200)
     if "seed" in names:
         sp.add_argument("--seed", type=int, default=0)
+    if "verbose" in names:
+        sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--verbose", action="store_true")
 
 
 def build_parser():
@@ -501,19 +487,19 @@ def build_parser():
     sp.add_argument("--poly", required=True)
     sp.add_argument("--q", type=int, default=3)
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("star-check", help="pullback nonvanishing statistics")
     _add_common(sp, "p", "d", "chart", "q", "precision", "trials", "seed")
 
     sp = sub.add_parser("equiv-check", help="lift vs pullback dichotomy")
-    _add_common(sp, "p", "d", "chart", "q", "precision", "trials", "seed")
+    _add_common(sp, "p", "d", "chart", "q", "precision", "trials", "seed",
+                "verbose")
     sp.add_argument("--assert-generated", dest="assert_generated",
                     action="store_true")
 
     sp = sub.add_parser("pipeline", help="full chain for one (p, d)")
-    _add_common(sp, "p", "d", "degN", "q", "precision", "trials", "seed")
+    _add_common(sp, "p", "d", "degN", "q", "precision", "trials", "seed",
+                "verbose")
     return ap
 
 

@@ -27,7 +27,7 @@ def in_Kp(r):
 
     F_q is perfect, so a reduced fraction is a p-th power exactly when both
     numerator and denominator have all exponents divisible by p. Independent
-    of ratfunc_derivative on purpose; the two are cross-checked in tests.
+    of RatFunc.derivative on purpose; the two are cross-checked in tests.
     """
     p = r.field.p
     return all(k % p == 0 for (k,) in r.num.terms) and all(

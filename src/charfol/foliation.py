@@ -335,12 +335,6 @@ class FactorizationReport:
         self.generated_up_to_bound = generated
         self.degree_bound = bound
 
-    def image_of(self, name):
-        for n, g in self.generators:
-            if n == name:
-                return g
-        raise KeyError(name)
-
     def to_json(self):
         return {
             "generators": [{"name": n, "expression": str(g)} for n, g in self.generators],

@@ -139,17 +139,11 @@ class LaurentSeries:
         # asserts knowledge up to n (Newton-style external argument)
         return LaurentSeries(self.field, self.v0, self.coeffs, n)
 
-    def shift(self, k):
-        return LaurentSeries(self.field, self.v0 + k, self.coeffs, self.prec + k)
-
     def nonzero_before(self, n):
         n = min(n, self.prec)
         return any(
             c for i, c in enumerate(self.coeffs) if self.v0 + i < n
         )
-
-    def agrees_with(self, other, n):
-        return not (self - other).nonzero_before(n)
 
     # -- arithmetic --
 

@@ -13,6 +13,7 @@ from charfol.adelic import (
     NotOnVariety,
     QuotientPresentation,
     UnsupportedPresentation,
+    descend_and_factor,
     lift_point,
     make_point,
     pullback_form,
@@ -176,7 +177,7 @@ def test_verify_equivalence_passes_with_unit_section():
     C = raynaud_chart()
     dz = OneForm.d(C, C.var("z"))
     D = kernel_of_form(dz)
-    rep = verify_equivalence(C, D, [dz], trials=60, seed=11)
+    rep = verify_equivalence(descend_and_factor(C, D), [dz], trials=60, seed=11)
     assert rep["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["buckets_ok"]
@@ -188,12 +189,13 @@ def test_verify_equivalence_inconclusive_paths():
     dz = OneForm.d(C, C.var("z"))
     D = kernel_of_form(dz)
     scaled = C.poly("2*z") * dz
-    rep = verify_equivalence(C, D, [scaled], trials=20, seed=3)
+    rep = verify_equivalence(descend_and_factor(C, D), [scaled], trials=20, seed=3)
     assert rep["status"] == "inconclusive"
-    rep = verify_equivalence(C, D, [scaled], trials=20, seed=3, assert_generated=True)
+    rep = verify_equivalence(descend_and_factor(C, D), [scaled], trials=20, seed=3,
+                             assert_generated=True)
     assert rep["status"] == "pass"
     assert rep["generation_basis"] == "asserted"
-    rep = verify_equivalence(C, D, [], trials=20, seed=3)
+    rep = verify_equivalence(descend_and_factor(C, D), [], trials=20, seed=3)
     assert rep["status"] == "inconclusive"
     assert rep["trials"] == 0
 
@@ -202,8 +204,8 @@ def test_verify_equivalence_deterministic():
     C = ChartAlgebra(K, ("x", "y"), [])
     D = Derivation(C, [C.zero(), C.one()])
     dx = OneForm.d(C, C.var("x"))
-    a = verify_equivalence(C, D, [dx], trials=40, seed=9)
-    b = verify_equivalence(C, D, [dx], trials=40, seed=9)
+    a = verify_equivalence(descend_and_factor(C, D), [dx], trials=40, seed=9)
+    b = verify_equivalence(descend_and_factor(C, D), [dx], trials=40, seed=9)
     assert a == b
 
 
@@ -211,5 +213,5 @@ def test_verify_equivalence_verbose_log():
     C = ChartAlgebra(K, ("x", "y"), [])
     D = Derivation(C, [C.zero(), C.one()])
     dx = OneForm.d(C, C.var("x"))
-    rep = verify_equivalence(C, D, [dx], trials=5, seed=1, verbose=True)
+    rep = verify_equivalence(descend_and_factor(C, D), [dx], trials=5, seed=1, verbose=True)
     assert len(rep["trial_log"]) == 5

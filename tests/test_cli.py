@@ -1,8 +1,11 @@
 import io
 import contextlib
+import hashlib
 import json
 
-from charfol import cli
+import pytest
+
+from charfol import adelic, cli, descent, foliation
 
 
 def run(argv):
@@ -56,6 +59,13 @@ def test_descend_exit_codes():
     assert rep["status"] == "fail"
     code, _ = run(["descend", "--poly", "y^2 - t^3*x", "--json"])
     assert code == 0
+    # the characteristic is the smallest prime factor of q, whatever its size
+    code, _ = run(["descend", "--poly", "y^2 - t^17*x", "--q", "17", "--json"])
+    assert code == 0
+    code, out = run(["descend", "--poly", "y^2 - t^3*x", "--q", "6", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [("chart", "fail")]
 
 
 def test_star_check_frozen_counts():
@@ -94,12 +104,53 @@ def test_pipeline_json_deterministic():
     assert a == b
 
 
-def test_pipeline_jobs_flag_does_not_change_output():
-    _, a = run(["pipeline", "--p", "3", "--d", "2", "--trials", "15", "--seed", "7",
-                "--jobs", "1", "--json"])
-    _, b = run(["pipeline", "--p", "3", "--d", "2", "--trials", "15", "--seed", "7",
-                "--jobs", "2", "--json"])
-    assert a == b
+# sha256 of the JSON reports, recorded before the pipeline built each stage
+# once; the stage chain must reproduce them byte for byte
+GOLDEN = [
+    ("pipeline --p 3 --d 2 --seed 7 --trials 15 --json",
+     "113542277063036db05dd566f6cb42109624d7cdd566c47aa0fbbe143b1cdcfd"),
+    ("pipeline --p 5 --d 3 --q 25 --seed 7 --trials 15 --json",
+     "134558e33ac6ba19ca389d2e4a38de67da8927aae64e93e8602f436e0169e5c0"),
+    ("quotient --p 5 --d 3 --json",
+     "14b6e1b3bc4d443fe1310362a615a1ee0d10471e869549557a9a615b8af28c4e"),
+    ("quotient --p 3 --d 2 --chart affine-plane --q 9 --json",
+     "3a430f0e01f61c2630199581586d7098456f5a9ced33be56109e9d006a066ce5"),
+    ("equiv-check --p 5 --d 3 --chart raynaud-local --trials 15 --seed 7 --json",
+     "9a7a3103bcc50f09cd7f34d636a98e42eae5427205e3bce866e37cb2e03c58a8"),
+    ("equiv-check --p 3 --d 2 --chart affine-plane --trials 20 --seed 2 --json",
+     "7189baf2969fc31e83b54195caf819b7022bb116d80c40a110da8235a0659f7c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_golden_report_digests(argv, digest):
+    _, out = run(argv.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pipeline_descends_and_factors_once(monkeypatch):
+    calls = {"descend_algebra": 0, "frobenius_factorization_check": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every module that binds either function gets the counting wrapper
+    for module in (adelic, cli, descent, foliation):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, _ = run(["pipeline", "--p", "3", "--d", "2", "--trials", "5", "--json"])
+    assert code in (0, 1)
+    assert calls == {"descend_algebra": 1, "frobenius_factorization_check": 1}
+
+
+def test_pipeline_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as info:
+        run(["pipeline", "--p", "3", "--d", "2", "--jobs", "2"])
+    assert info.value.code == 2
 
 
 def test_bad_parameters_exit_2():
