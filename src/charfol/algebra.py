@@ -329,10 +329,11 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.constant(num.domain, num.vars, 1)
         else:
-            g = uni_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = uni_divmod(num, g)
-                den, _ = uni_divmod(den, g)
+            if den.degree() > 0:
+                g = uni_gcd(num, den)
+                if g.degree() > 0:
+                    num, _ = uni_divmod(num, g)
+                    den, _ = uni_divmod(den, g)
             lead = den.terms[(den.degree(),)]
             if lead != num.domain.one():
                 num = num.map_coeffs(lambda c: c / lead)

@@ -20,6 +20,7 @@ from .algebra import ChartAlgebra, FunField, parse_poly
 from .differentials import OneForm, reduce_form
 from .descent import NoDescent, descend_algebra
 from .foliation import Derivation, is_p_closed_rank1, kernel_of_form, p_power, pairing
+from .series import DivisionByZeroSeries, PrecisionExhausted
 from .adelic import (
     descend_and_factor,
     pullback_form,
@@ -153,6 +154,9 @@ def cmd_tango_verify(p, d, q=None, precision=None):
         data = tango.verify_tango_structure(p, d, prec=precision, field=field)
     except AssertionError as e:
         rep.add("structure", FAIL, error=str(e))
+        return rep
+    except (DivisionByZeroSeries, PrecisionExhausted) as e:
+        rep.add("structure", INCONCLUSIVE, reason=str(e), precision=precision)
         return rep
     rep.add("smoothness", PASS, **data["smoothness"])
     rep.add("ord-dx-at-infinity",

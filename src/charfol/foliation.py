@@ -361,12 +361,17 @@ class FactorizationReport:
 def frobenius_factorization_check(D, max_total=None):
     """Present the constants of D as a quotient chart with certificates.
 
-    Raises DegreeBoundTooSmall when some x^p cannot be written in the
-    generators within the bound; retry with a larger max_total.
+    The default bound is 3p, raised to the largest degree of a normal form
+    x^p when that is higher. Raises DegreeBoundTooSmall when some x^p cannot
+    be written in the generators within the bound; retry with a larger
+    max_total.
     """
     chart = D.chart
     p = chart.domain.p
-    bound = 3 * p if max_total is None else max_total
+    targets = {v: chart.nf(chart.var(v) ** p) for v in chart.vars}
+    bound = max_total
+    if bound is None:
+        bound = max(3 * p, *(t.degree() for t in targets.values()))
     constants = ring_of_constants(D, bound)
 
     gens = []
@@ -410,8 +415,7 @@ def frobenius_factorization_check(D, max_total=None):
         relations.append(MultiPoly(chart.domain, names, terms))
 
     certs = {}
-    for v in chart.vars:
-        target = chart.nf(chart.var(v) ** p)
+    for v, target in targets.items():
         combo = solve_span(vectors, target.terms)
         if combo is None:
             raise DegreeBoundTooSmall(

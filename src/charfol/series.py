@@ -106,6 +106,9 @@ class LaurentSeries:
     @classmethod
     def from_ratfunc(cls, r, prec):
         dden = r.den.degree()
+        if dden == 0:
+            # RatFunc keeps den monic, so a constant den is 1
+            return cls.from_poly(r.num, prec)
         pad = prec + 2 * dden + 4
         num = cls.from_poly(r.num, pad)
         den = cls.from_poly(r.den, pad)

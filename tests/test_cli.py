@@ -98,6 +98,37 @@ def test_pipeline_pass_and_reject():
     assert code == 1  # 3 does not divide p + 1
 
 
+# every (p, d) with p an odd prime <= 11, d >= 2 and d | p + 1
+VALID_GRID = [(3, 2), (3, 4), (5, 2), (5, 3), (5, 6), (7, 2), (7, 4), (7, 8),
+              (11, 2), (11, 3), (11, 4), (11, 6), (11, 12)]
+
+
+@pytest.mark.parametrize("p,d", VALID_GRID, ids=[f"p{p}-d{d}" for p, d in VALID_GRID])
+def test_pipeline_passes_on_valid_grid(p, d):
+    code, out = run(["pipeline", "--p", str(p), "--d", str(d), "--trials", "10",
+                     "--seed", "7", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass"
+    check = next(c for c in rep["checks"]
+                 if c["name"] == "equivalence/zero-counterexamples")
+    assert check["values"]["counterexamples"] == []
+
+
+@pytest.mark.parametrize("precision", [1, 5, 6, 8, 12, 20])
+def test_tango_verify_short_precision_is_inconclusive(precision):
+    code, out = run(["tango-verify", "--p", "3", "--d", "2",
+                     "--precision", str(precision), "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    (check,) = rep["checks"]
+    assert check["name"] == "structure"
+    assert check["status"] == "inconclusive"
+    assert check["values"]["precision"] == precision
+    assert check["values"]["reason"]
+
+
 def test_pipeline_json_deterministic():
     _, a = run(["pipeline", "--p", "3", "--d", "2", "--trials", "15", "--seed", "7", "--json"])
     _, b = run(["pipeline", "--p", "3", "--d", "2", "--trials", "15", "--seed", "7", "--json"])
