@@ -83,12 +83,14 @@ def kernel_basis(vectors):
     return kernel
 
 
-def solve_span(vectors, target):
-    """Dict c with target = sum(c[i] * vectors[i]), or None."""
+def solve_span(vectors, targets):
+    """One entry per target: a dict c with target = sum(c[i] * vectors[i]),
+    or None when the target is outside the span. The span is built once."""
     tracker = SpanTracker()
     for i, vec in enumerate(vectors):
         tracker.insert(vec, i)
-    residual, combo = tracker.reduce(target)
-    if residual:
-        return None
-    return combo
+    out = []
+    for target in targets:
+        residual, combo = tracker.reduce(target)
+        out.append(None if residual else combo)
+    return out

@@ -201,9 +201,9 @@ class QuotientPresentation:
         image_list = list(self.images.values())
         products = _generator_monomials(source, image_list, bound)
         vectors = [poly.terms for _, poly in products]
-        for s in source.vars:
-            target_poly = source.nf(source.var(s) ** p)
-            if solve_span(vectors, target_poly.terms) is None:
+        targets = [source.nf(source.var(s) ** p).terms for s in source.vars]
+        for s, combo in zip(source.vars, solve_span(vectors, targets)):
+            if combo is None:
                 raise UnsupportedPresentation(
                     f"{s}^{p} is not visibly in the image subring "
                     f"(degree bound {bound})"

@@ -156,7 +156,10 @@ def cmd_tango_verify(p, d, q=None, precision=None):
         rep.add("structure", FAIL, error=str(e))
         return rep
     except (DivisionByZeroSeries, PrecisionExhausted) as e:
-        rep.add("structure", INCONCLUSIVE, reason=str(e), precision=precision)
+        default = tango.PlanarTangoCurve(p, d, field).default_precision()
+        rep.add("structure", INCONCLUSIVE,
+                reason=f"{e}; the curve uses precision {default} by default",
+                precision=precision, default_precision=default)
         return rep
     rep.add("smoothness", PASS, **data["smoothness"])
     rep.add("ord-dx-at-infinity",
@@ -446,6 +449,18 @@ def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
 # argument plumbing
 
 
+def _precision(text):
+    """argparse type of --precision: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _add_common(sp, *names):
     if "p" in names:
         sp.add_argument("--p", type=int, required=True)
@@ -459,7 +474,7 @@ def _add_common(sp, *names):
         sp.add_argument("--chart", default="raynaud-local",
                         choices=["raynaud-local", "affine-plane"])
     if "precision" in names:
-        sp.add_argument("--precision", type=int, default=64)
+        sp.add_argument("--precision", type=_precision, default=64)
     if "trials" in names:
         sp.add_argument("--trials", type=int, default=200)
     if "seed" in names:
@@ -475,7 +490,7 @@ def build_parser():
 
     sp = sub.add_parser("tango-verify", help="curve structure and ord of dx")
     _add_common(sp, "p", "d", "q")
-    sp.add_argument("--precision", type=int, default=None,
+    sp.add_argument("--precision", type=_precision, default=None,
                     help="series precision; default is the curve's own bound")
 
     sp = sub.add_parser("raynaud-ledger", help="exact intersection ledger")

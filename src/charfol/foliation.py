@@ -133,7 +133,7 @@ def _try_exact_divide(chart, num, den):
         bound = num.degree() + sum(r.degree for r in chart.relations) + 2
         monos = chart.reduced_monomials(bound)
         vectors = [chart.nf(MultiPoly(chart.domain, chart.vars, {e: chart.domain.one()}) * den).terms for e in monos]
-        combo = solve_span(vectors, num.terms)
+        (combo,) = solve_span(vectors, [num.terms])
         if combo is None:
             return None
         q = chart.zero()
@@ -375,6 +375,7 @@ def frobenius_factorization_check(D, max_total=None):
     constants = ring_of_constants(D, bound)
 
     gens = []
+    products = [((), chart.one())]
     tracker = SpanTracker()
     tracker.insert(chart.one().terms, ())
     for cand in constants:
@@ -384,8 +385,9 @@ def frobenius_factorization_check(D, max_total=None):
         if not residual:
             continue
         gens.append(cand)
+        products = _generator_monomials(chart, gens, bound)
         tracker = SpanTracker()
-        for exps, poly in _generator_monomials(chart, gens, bound):
+        for exps, poly in products:
             tracker.insert(poly.terms, exps)
     generated = all(not tracker.reduce(c.terms)[0] for c in constants)
 
@@ -405,7 +407,6 @@ def frobenius_factorization_check(D, max_total=None):
         names.append(name)
     names = tuple(names)
 
-    products = _generator_monomials(chart, gens, bound)
     labels = [exps for exps, _ in products]
     vectors = [poly.terms for _, poly in products]
 
@@ -415,8 +416,8 @@ def frobenius_factorization_check(D, max_total=None):
         relations.append(MultiPoly(chart.domain, names, terms))
 
     certs = {}
-    for v, target in targets.items():
-        combo = solve_span(vectors, target.terms)
+    combos = solve_span(vectors, [t.terms for t in targets.values()])
+    for v, combo in zip(targets, combos):
         if combo is None:
             raise DegreeBoundTooSmall(
                 f"{v}^{p} is not a combination of generator monomials of weight <= {bound}"

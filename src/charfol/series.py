@@ -1,9 +1,12 @@
 """Truncated Laurent series over F_q with explicit precision.
 
 A series knows its coefficients on [v0, prec) and nothing above; every
-operation propagates the pessimistic precision. Multiplication over prime
-fields packs coefficients into one big integer (Kronecker substitution) so a
-single native multiply does the convolution.
+operation propagates the pessimistic precision. A product computes only the
+coefficients below both its precision and its full degree, so short series
+multiply in time set by their lengths, not by the precision. Over prime
+fields it packs coefficients into one big integer (Kronecker substitution)
+so a single native multiply does the convolution. A monomial c*t^v inverts
+exactly; longer series invert by Newton iteration.
 """
 
 from . import gf
@@ -23,21 +26,18 @@ class NotSimpleRoot(ValueError):
 
 
 def _conv_prime(p, a, b, out_len):
-    """Convolution of int lists mod p via one big-int multiply."""
-    if not a or not b or out_len <= 0:
-        return [0] * max(out_len, 0)
+    """The first out_len coefficients of the convolution of nonempty int
+    lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1."""
     maxval = (p - 1) * (p - 1) * min(len(a), len(b))
     slot = (maxval.bit_length() + 7) // 8
     ia = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in a), "little")
     ib = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in b), "little")
     prod = ia * ib
     raw = prod.to_bytes(slot * (len(a) + len(b)), "little")
-    n = min(out_len, len(a) + len(b) - 1)
-    out = [
-        int.from_bytes(raw[i * slot : (i + 1) * slot], "little") % p for i in range(n)
+    return [
+        int.from_bytes(raw[i * slot : (i + 1) * slot], "little") % p
+        for i in range(out_len)
     ]
-    out.extend([0] * (out_len - n))
-    return out
 
 
 def _conv_generic(field, a, b, out_len):
@@ -197,7 +197,8 @@ class LaurentSeries:
         prec = min(self.prec + vb, other.prec + va)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.zero(f, prec)
-        out_len = prec - (self.v0 + other.v0)
+        # coefficients above the full product's degree are known zeros
+        out_len = min(prec - (va + vb), len(self.coeffs) + len(other.coeffs) - 1)
         if out_len <= 0:
             return LaurentSeries.zero(f, prec)
         if f.e == 1:
@@ -218,6 +219,11 @@ class LaurentSeries:
         if m <= 0:
             raise PrecisionExhausted("no known coefficients to invert")
         f = self.field
+        if len(self.coeffs) == 1:
+            # a monomial c*t^v inverts exactly; Newton converges to the same
+            return LaurentSeries(
+                f, -self.v0, [self.coeffs[0].inverse()], self.prec - 2 * self.v0
+            )
         u = LaurentSeries(f, 0, self.coeffs, m)  # unit part, relative precision m
         r = LaurentSeries(f, 0, [self.coeffs[0].inverse()], 1)
         k = 1

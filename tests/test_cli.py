@@ -126,7 +126,23 @@ def test_tango_verify_short_precision_is_inconclusive(precision):
     assert check["name"] == "structure"
     assert check["status"] == "inconclusive"
     assert check["values"]["precision"] == precision
-    assert check["values"]["reason"]
+    # the reason names the precision the curve uses by default
+    assert check["values"]["default_precision"] == 33
+    assert "33" in check["values"]["reason"]
+
+
+@pytest.mark.parametrize("command", [
+    ["star-check", "--p", "3", "--d", "2"],
+    ["equiv-check", "--p", "3", "--d", "2"],
+    ["pipeline", "--p", "3", "--d", "2"],
+    ["tango-verify", "--p", "3", "--d", "2"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("precision", ["0", "-3", "x"])
+def test_bad_precision_exits_2(command, precision, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(command + ["--precision", precision, "--json"])
+    assert info.value.code == 2
+    assert "precision must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_pipeline_json_deterministic():

@@ -176,3 +176,27 @@ def test_scaled_kernel_still_pairs_to_zero():
     assert pairing(dz, D).is_zero()
     closed, _ = is_p_closed_rank1(D)
     assert closed
+
+
+def test_factorization_spans_generator_monomials_once(monkeypatch):
+    from charfol import foliation
+    from charfol.descent import descend_algebra, descend_derivation
+
+    C = raynaud_chart(5, 3, FunField(gf.Field(5)))
+    D = kernel_of_form(OneForm.d(C, C.var("z")))
+    Dm = descend_derivation(D, descend_algebra(C))
+    calls = {"solve_span": 0, "_generator_monomials": 0}
+
+    def counting(name):
+        fn = getattr(foliation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(foliation, name, counting(name))
+    rep = frobenius_factorization_check(Dm)
+    assert len(rep.power_certificates) == 3
+    assert calls == {"solve_span": 1, "_generator_monomials": len(rep.generators)}
