@@ -76,9 +76,9 @@ def kernel_basis(vectors):
     for i, vec in enumerate(vectors):
         cert = tracker.insert(vec, i)
         if cert is not None:
+            # the certificate only names earlier vectors
             rel = {k: -val for k, val in cert.items()}
-            prev = rel.get(i)
-            rel[i] = 1 if prev is None else prev + 1
+            rel[i] = 1
             kernel.append(rel)
     return kernel
 

@@ -156,6 +156,23 @@ def pullback_form(point, form):
     return out
 
 
+def min_star_precision(chart, sections):
+    """Smallest precision whose star horizon (half of it) reaches every term
+    a nonzero pullback of the sections can have along a drawn point: drawn
+    coordinates have terms up to degree top and derivatives below
+    _FREE_TOP - 1 (p-th powers differentiate to 0), so a coefficient of
+    degree s gives terms below s * top + _FREE_TOP - 1. Assumes components
+    on drawn coordinates and coefficients constant in t, as on the presets.
+    """
+    top = max(_FREE_TOP - 1, chart.domain.p * (_P_POWER_MULTIPLES - 1))
+    s = max(
+        (c.degree() for w in sections for c in (*w.comps, w.t_comp)
+         if c is not None and not c.is_zero()),
+        default=0,
+    )
+    return 2 * (s * top + _FREE_TOP - 1)
+
+
 def star_condition(point, sections, horizon=None):
     """True when some section pulls back to a series nonzero before horizon
     (default: half the working precision)."""
@@ -199,7 +216,7 @@ class QuotientPresentation:
             self.images[v] = source.nf(img)
         bound = 3 * p
         image_list = list(self.images.values())
-        products = _generator_monomials(source, image_list, bound)
+        products, _, _ = _generator_monomials(source, image_list, bound)
         vectors = [poly.terms for _, poly in products]
         targets = [source.nf(source.var(s) ** p).terms for s in source.vars]
         for s, combo in zip(source.vars, solve_span(vectors, targets)):
@@ -320,37 +337,33 @@ def lift_point(point, pres):
 # randomized point generation and the equivalence run
 
 
+# exponents _random_free_series draws: below _FREE_TOP off the p-th-power
+# side, p*k for k below _P_POWER_MULTIPLES on it
+_FREE_TOP = 8
+_P_POWER_MULTIPLES = 3
+_POINT_TRIES = 40
+
+
 def _random_free_series(field, rng, N, p_powered):
     p = field.p
     terms = {}
     if p_powered:
         for _ in range(rng.randrange(1, 4)):
-            k = p * rng.randrange(0, 3)
+            k = p * rng.randrange(0, _P_POWER_MULTIPLES)
             terms[k] = rng.randrange(field.q)
     else:
-        k0 = rng.randrange(0, 8)
+        k0 = rng.randrange(0, _FREE_TOP)
         while k0 % p == 0:
-            k0 = rng.randrange(0, 8)
+            k0 = rng.randrange(0, _FREE_TOP)
         terms[k0] = rng.randrange(1, field.q)
         for _ in range(rng.randrange(0, 3)):
-            terms[rng.randrange(0, 8)] = rng.randrange(field.q)
+            terms[rng.randrange(0, _FREE_TOP)] = rng.randrange(field.q)
     v0 = min(terms) if terms else 0
     coeffs = [field.from_int(0)] * (max(terms) - v0 + 1) if terms else []
     for k, c in terms.items():
-        coeffs[k - v0] = _int_to_elem(field, c)
+        # c < q indexes all of F_q, not only the prime field
+        coeffs[k - v0] = field.element(gf.digits(c, field.p, field.e))
     return LaurentSeries(field, v0, coeffs, N)
-
-
-def _int_to_elem(field, n):
-    # spread ints over all of F_q, not only the prime field
-    out = field.zero()
-    g = field.gen() if field.e > 1 else field.one()
-    k = 0
-    while n:
-        out = out + field.from_int(n % field.p) * g**k
-        n //= field.p
-        k += 1
-    return out
 
 
 def _linear_unit_var(chart):
@@ -367,12 +380,13 @@ def _linear_unit_var(chart):
     return None, None
 
 
-def random_local_point(chart, rng, N=64, bias=True, max_tries=40):
+def random_local_point(chart, rng, N=64):
     """A random point on the chart, each free coordinate a short random
-    series that is purely a p-th power with probability 1/2 (when bias is
-    on). One relation variable is solved exactly when it appears linearly
-    with a unit coefficient; otherwise the designated variable is completed
-    by Newton. Retries when the random draw hits a non-simple root."""
+    series that is purely a p-th power with probability 1/2. One relation
+    variable is solved exactly when it appears linearly with a unit
+    coefficient; otherwise the designated variable is completed by Newton.
+    Draws again, up to _POINT_TRIES times, when a draw hits a non-simple
+    root or misses the chart."""
     field = _base_field(chart)
     solve_var, rel = _linear_unit_var(chart)
     newton_var = None
@@ -380,12 +394,12 @@ def random_local_point(chart, rng, N=64, bias=True, max_tries=40):
         if len(chart.relations) > 1:
             raise UnsupportedPresentation("random points need at most one relation")
         newton_var = chart.relations[0].var
-    for _ in range(max_tries):
+    for _ in range(_POINT_TRIES):
         coords = {}
         for v in chart.vars:
             if v in (solve_var, newton_var):
                 continue
-            coords[v] = _random_free_series(field, rng, N, bias and rng.random() < 0.5)
+            coords[v] = _random_free_series(field, rng, N, rng.random() < 0.5)
         if solve_var is not None:
             c = rel.poly.coeff_in(solve_var, 1).constant_value()
             rest = MultiPoly(
@@ -409,7 +423,7 @@ def random_local_point(chart, rng, N=64, bias=True, max_tries=40):
             return make_point(chart, coords, N)
         except NotOnVariety:
             continue
-    raise RuntimeError(f"no random point found on {chart!r} after {max_tries} draws")
+    raise RuntimeError(f"no random point found on {chart!r} after {_POINT_TRIES} draws")
 
 
 def _descend_sections(sections, model):

@@ -461,10 +461,6 @@ class FunField:
     def p(self):
         return self.field.p
 
-    @property
-    def char(self):
-        return self.field.p
-
     def _const(self, c):
         return MultiPoly.constant(self.field, (self.var,), c)
 

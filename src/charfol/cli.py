@@ -23,6 +23,7 @@ from .foliation import Derivation, is_p_closed_rank1, kernel_of_form, p_power, p
 from .series import DivisionByZeroSeries, PrecisionExhausted
 from .adelic import (
     descend_and_factor,
+    min_star_precision,
     pullback_form,
     random_local_point,
     star_condition,
@@ -318,6 +319,14 @@ def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
     import random as _random
     from .adelic import _converter
     ch, _D, sections = preset_chart(chart, p, d, q)
+    need = min_star_precision(ch, sections)
+    if precision < need:
+        rep.add("star-horizon", INCONCLUSIVE,
+                reason=f"the star horizon {precision // 2} (half the precision) "
+                       f"ends before terms a nonzero pullback can have along "
+                       f"the sampled points; use precision >= {need}",
+                precision=precision, min_precision=need)
+        return rep
     rng = _random.Random(seed)
     stars = 0
     chain_ok = True

@@ -69,7 +69,7 @@ def frobenius_K(r):
 
 def multipoly_pth_root(f, coeff_root):
     """Root a polynomial that is a p-th power: exponents /p, coefficients rooted."""
-    p = f.domain.char
+    p = f.domain.p
     terms = {}
     for e, c in f.terms.items():
         if any(k % p for k in e):

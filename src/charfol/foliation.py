@@ -136,9 +136,7 @@ def _try_exact_divide(chart, num, den):
         (combo,) = solve_span(vectors, [num.terms])
         if combo is None:
             return None
-        q = chart.zero()
-        for i, c in combo.items():
-            q = q + MultiPoly(chart.domain, chart.vars, {monos[i]: _as_coeff(chart.domain, c)})
+        q = MultiPoly(chart.domain, chart.vars, {monos[i]: c for i, c in combo.items()})
     if not chart.nf(num - q * den).is_zero():
         return None
     return chart.nf(q)
@@ -158,10 +156,6 @@ def _free_divide(num, den):
         q = q + term
         r = r - term * den
     return q
-
-
-def _as_coeff(domain, c):
-    return domain.from_int(c) if isinstance(c, int) else c
 
 
 def is_p_closed_rank1(D):
@@ -268,24 +262,30 @@ def ring_of_constants(D, max_total=None):
         vectors.append(D._apply_reduced(m).terms)
     out = []
     for rel in kernel_basis(vectors):
-        terms = {monos[i]: _as_coeff(chart.domain, c) for i, c in rel.items()}
+        # kernel_basis gives the dependent vector itself the int 1
+        terms = {monos[i]: chart.domain.from_int(c) if isinstance(c, int) else c
+                 for i, c in rel.items()}
         out.append(MultiPoly(chart.domain, chart.vars, terms))
     return out
 
 
 def _generator_monomials(chart, gens, bound):
-    """(exponents, reduced product) for gens-monomials discovered by closure.
+    """gens-monomials discovered by closure, their span and its relations.
 
     Breadth-first: extend a product by one generator at a time, keep it when
     its reduced degree still fits the bound, and only extend it further when
     it enlarged the span (a dependent product is a linear combination of kept
-    ones, so its multiples add nothing to the span). Dependent products stay
-    in the output; they are exactly where relations come from.
+    ones, so its multiples add nothing to the span). Each product goes into
+    one SpanTracker, tagged by its exponent tuple, as it is found. Returns
+    the (exponents, reduced product) list in that order, the tracker, and
+    (exponents, certificate) for each dependent product: the certificate
+    writes it in the tags of earlier products, so it is one relation.
     """
     zero_exps = (0,) * len(gens)
     out = [(zero_exps, chart.one())]
     tracker = SpanTracker()
     tracker.insert(chart.one().terms, zero_exps)
+    dependencies = []
     seen = {zero_exps}
     work = [(zero_exps, chart.one())]
     while work:
@@ -299,9 +299,12 @@ def _generator_monomials(chart, gens, bound):
             if prod.degree() > bound:
                 continue
             out.append((e2, prod))
-            if tracker.insert(prod.terms, e2) is None:
+            cert = tracker.insert(prod.terms, e2)
+            if cert is None:
                 work.append((e2, prod))
-    return out
+            else:
+                dependencies.append((e2, cert))
+    return out, tracker, dependencies
 
 
 class FactorizationReport:
@@ -358,26 +361,25 @@ class FactorizationReport:
         }
 
 
-def frobenius_factorization_check(D, max_total=None):
+def frobenius_factorization_check(D):
     """Present the constants of D as a quotient chart with certificates.
 
-    The default bound is 3p, raised to the largest degree of a normal form
-    x^p when that is higher. Raises DegreeBoundTooSmall when some x^p cannot
-    be written in the generators within the bound; retry with a larger
-    max_total.
+    The bound is 3p, raised to the largest degree of a normal form x^p when
+    that is higher. Each accepted generator starts one closure round
+    (_generator_monomials); the span of the last round answers everything
+    else: whether the constants are generated, the relations (one per
+    dependent product) and the x^p certificates. Raises DegreeBoundTooSmall
+    when some x^p is not in that span.
     """
     chart = D.chart
     p = chart.domain.p
+    one = chart.domain.one()
     targets = {v: chart.nf(chart.var(v) ** p) for v in chart.vars}
-    bound = max_total
-    if bound is None:
-        bound = max(3 * p, *(t.degree() for t in targets.values()))
+    bound = max(3 * p, *(t.degree() for t in targets.values()))
     constants = ring_of_constants(D, bound)
 
     gens = []
-    products = [((), chart.one())]
-    tracker = SpanTracker()
-    tracker.insert(chart.one().terms, ())
+    _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     for cand in constants:
         if cand.degree() == 0:
             continue
@@ -385,10 +387,7 @@ def frobenius_factorization_check(D, max_total=None):
         if not residual:
             continue
         gens.append(cand)
-        products = _generator_monomials(chart, gens, bound)
-        tracker = SpanTracker()
-        for exps, poly in products:
-            tracker.insert(poly.terms, exps)
+        _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     generated = all(not tracker.reduce(c.terms)[0] for c in constants)
 
     names = []
@@ -397,7 +396,7 @@ def frobenius_factorization_check(D, max_total=None):
         name = None
         if len(g.terms) == 1:
             ((e, c),) = g.terms.items()
-            if sum(e) == 1 and c == chart.domain.one():
+            if sum(e) == 1 and c == one:
                 name = chart.vars[e.index(1)]
         if name is None or name in names:
             while f"w{counter}" in names or f"w{counter}" in chart.vars:
@@ -407,23 +406,20 @@ def frobenius_factorization_check(D, max_total=None):
         names.append(name)
     names = tuple(names)
 
-    labels = [exps for exps, _ in products]
-    vectors = [poly.terms for _, poly in products]
-
     relations = []
-    for rel in kernel_basis(vectors):
-        terms = {labels[i]: _as_coeff(chart.domain, c) for i, c in rel.items()}
+    for exps, cert in dependencies:
+        terms = {k: -c for k, c in cert.items()}
+        terms[exps] = one
         relations.append(MultiPoly(chart.domain, names, terms))
 
     certs = {}
-    combos = solve_span(vectors, [t.terms for t in targets.values()])
-    for v, combo in zip(targets, combos):
-        if combo is None:
+    for v, target in targets.items():
+        residual, combo = tracker.reduce(target.terms)
+        if residual:
             raise DegreeBoundTooSmall(
                 f"{v}^{p} is not a combination of generator monomials of weight <= {bound}"
             )
-        terms = {labels[i]: _as_coeff(chart.domain, c) for i, c in combo.items()}
-        certs[v] = MultiPoly(chart.domain, names, terms)
+        certs[v] = MultiPoly(chart.domain, names, combo)
 
     quotient = _chart_from_relations(chart, names, relations)
 

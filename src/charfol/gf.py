@@ -38,6 +38,15 @@ def _is_prime(n):
 # -- dense univariate helpers over F_p (little-endian int lists, trimmed) --
 
 
+def digits(n, p, count):
+    """The first count base-p digits of n, least significant first."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
 def _trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
@@ -63,13 +72,7 @@ def _irreducible(m, p):
     e = len(m) - 1
     for deg in range(1, e // 2 + 1):
         for idx in range(p**deg):
-            div = []
-            k = idx
-            for _ in range(deg):
-                div.append(k % p)
-                k //= p
-            div.append(1)
-            if not _poly_rem(m, div, p):
+            if not _poly_rem(m, digits(idx, p, deg) + [1], p):
                 return False
     return True
 
@@ -124,12 +127,7 @@ class Field:
         # lexicographic over constant-first coefficient vectors
         p, e = self.p, self.e
         for idx in range(p**e):
-            cs = []
-            k = idx
-            for _ in range(e):
-                cs.append(k % p)
-                k //= p
-            cs.append(1)
+            cs = digits(idx, p, e) + [1]
             if _irreducible(cs, p):
                 return tuple(cs)
         raise NoModulusFound(f"no irreducible monic polynomial of degree {e} over F_{p}")
@@ -163,20 +161,10 @@ class Field:
 
     def elements(self):
         for idx in range(self.q):
-            cs = []
-            k = idx
-            for _ in range(self.e):
-                cs.append(k % self.p)
-                k //= self.p
-            yield FieldElement(self, tuple(cs))
+            yield FieldElement(self, tuple(digits(idx, self.p, self.e)))
 
     def random_element(self, rng):
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
-
-    # characteristic, for code that only sees a coefficient domain
-    @property
-    def char(self):
-        return self.p
 
     def __eq__(self, other):
         return (
@@ -307,11 +295,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field!r}>"
-
-
-def gf_make(p, e=1, modulus=None):
-    """Construct F_q with q = p^e; searches for a modulus when none is given."""
-    return Field(p, e, modulus)
 
 
 def frobenius(a):

@@ -25,7 +25,7 @@ class PlanarTangoCurve:
         if d < 2:
             raise ValueError("need d >= 2: for d = 1 the model is rational")
         if field is None:
-            field = gf.gf_make(p)
+            field = gf.Field(p)
         if field.p != p:
             raise ValueError(f"field has characteristic {field.p}, expected {p}")
         self.field = field

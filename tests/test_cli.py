@@ -78,6 +78,31 @@ def test_star_check_frozen_counts():
     assert vals["star_false"] == 7
 
 
+@pytest.mark.parametrize("precision", [1, 2, 3, 4, 13])
+def test_star_check_short_precision_is_inconclusive(precision):
+    # the horizon is half the precision; the sampler draws terms up to t^7,
+    # so dz pulls back to terms up to t^6 and needs precision 14
+    code, out = run(["star-check", "--p", "3", "--d", "2", "--precision",
+                     str(precision), "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    (check,) = rep["checks"]
+    assert check["name"] == "star-horizon"
+    assert check["status"] == "inconclusive"
+    assert check["values"]["precision"] == precision
+    assert check["values"]["min_precision"] == 14
+    assert "14" in check["values"]["reason"]
+
+
+def test_star_check_passes_from_min_precision():
+    code, out = run(["star-check", "--p", "3", "--d", "2", "--precision", "14",
+                     "--trials", "10", "--seed", "4", "--json"])
+    assert code == 0
+    vals = json.loads(out)["checks"][0]["values"]
+    assert (vals["star_true"], vals["star_false"]) == (3, 7)
+
+
 def test_equiv_check_affine_plane():
     code, out = run(["equiv-check", "--p", "3", "--d", "2", "--chart", "affine-plane",
                      "--trials", "20", "--seed", "2", "--json"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -178,14 +180,15 @@ def test_scaled_kernel_still_pairs_to_zero():
     assert closed
 
 
-def test_factorization_spans_generator_monomials_once(monkeypatch):
+def test_factorization_builds_one_span_per_closure_round(monkeypatch):
     from charfol import foliation
+    from charfol._linalg import SpanTracker
     from charfol.descent import descend_algebra, descend_derivation
 
     C = raynaud_chart(5, 3, FunField(gf.Field(5)))
     D = kernel_of_form(OneForm.d(C, C.var("z")))
     Dm = descend_derivation(D, descend_algebra(C))
-    calls = {"solve_span": 0, "_generator_monomials": 0}
+    calls = {"kernel_basis": 0, "solve_span": 0, "_generator_monomials": 0}
 
     def counting(name):
         fn = getattr(foliation, name)
@@ -197,6 +200,48 @@ def test_factorization_spans_generator_monomials_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(foliation, name, counting(name))
+    trackers = []
+    init = SpanTracker.__init__
+
+    def counting_init(self):
+        trackers.append(self)
+        init(self)
+
+    monkeypatch.setattr(SpanTracker, "__init__", counting_init)
     rep = frobenius_factorization_check(Dm)
     assert len(rep.power_certificates) == 3
-    assert calls == {"solve_span": 1, "_generator_monomials": len(rep.generators)}
+    # one closure round with no generator, then one per accepted generator;
+    # the constants are spanned once, inside ring_of_constants' kernel_basis
+    rounds = len(rep.generators) + 1
+    assert calls == {"kernel_basis": 1, "solve_span": 0, "_generator_monomials": rounds}
+    assert len(trackers) == 1 + rounds
+
+
+def _zero_derivation(p, vars, rel):
+    K = FunField(gf.Field(p))
+    C = ChartAlgebra(K, vars, [(parse_poly(rel, vars, K), "z")])
+    return Derivation(C, [C.zero()] * len(vars))
+
+
+# FactorizationReport.to_json() digests for zero derivations, whose constants
+# are the whole chart, so every chart relation comes back as generator
+# relations; recorded before relations were read off the closure's tracker
+FACTORIZATION_GOLDEN = [
+    (3, ("x", "z"), "z^2 - x^3", 5,
+     "27d03b3747bbb74cd23ea0f2eeabc0d8a2af854a95c7ec4fc92a4f89938e9505"),
+    (3, ("x", "y", "z"), "z^2 - y^3 - x", 25,
+     "fd2d830b000840cc2d9b5d741033071ec151ad2b26fb98e56e06bb285dd75cdc"),
+    (5, ("x", "z"), "z^3 - x^2 - t^5*x", 14,
+     "a623863cbef40ae5813393bc0072425efd4b3283ed37b0a63c33e23be3462de8"),
+]
+
+
+@pytest.mark.parametrize("p,vars,rel,n_relations,digest", FACTORIZATION_GOLDEN,
+                         ids=[g[2] for g in FACTORIZATION_GOLDEN])
+def test_factorization_report_digests(p, vars, rel, n_relations, digest):
+    rep = frobenius_factorization_check(_zero_derivation(p, vars, rel))
+    assert len(rep.relations) == n_relations
+    for r in rep.relations:
+        assert rep.quotient is None or rep.quotient.nf(r).is_zero()
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
