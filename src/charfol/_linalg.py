@@ -4,6 +4,14 @@ Vectors are dicts mapping hashable, mutually comparable labels to nonzero
 field elements. The tracker keeps an inter-reduced spanning set and, for
 every stored row, the combination of inserted originals that produced it,
 so dependencies come out as ready-made certificates.
+
+Invariant: the rows are fully inter-reduced, so no row holds the pivot of
+another. Subtracting a row from a vector therefore changes no other pivot's
+coefficient, and the tracker only touches the rows it must, through two
+indexes: `pos` (pivot -> row index) tells `reduce` which rows a vector
+meets, and `cols` (label -> indices of the rows holding it) tells `insert`
+which rows to clear of a new pivot. Both visit rows in insertion order, so
+the field operations run in the same order as a scan of every row would.
 """
 
 
@@ -20,10 +28,12 @@ def _addmul(dst, src, c):
 
 
 class SpanTracker:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "pos", "cols")
 
     def __init__(self):
         self.rows = []  # (pivot, vector, combo); vector[pivot] = 1
+        self.pos = {}  # pivot -> index into rows
+        self.cols = {}  # label -> set of indices of the rows holding it
 
     def reduce(self, vec, combo=None):
         """Residual of vec modulo the rows.
@@ -32,7 +42,10 @@ class SpanTracker:
         """
         v = dict(vec)
         c = {} if combo is None else dict(combo)
-        for pivot, row, rcombo in self.rows:
+        pos = self.pos
+        rows = self.rows
+        for i in sorted(pos[k] for k in vec if k in pos):
+            pivot, row, rcombo = rows[i]
             coeff = v.get(pivot)
             if coeff:
                 _addmul(v, row, -coeff)
@@ -56,13 +69,24 @@ class SpanTracker:
         rcombo[tag] = inv if prev is None else prev + inv
         if not rcombo[tag]:
             del rcombo[tag]
+        rows, cols = self.rows, self.cols
+        col_sets = [(k, cols.setdefault(k, set())) for k in v]
         # keep stored rows clear of the new pivot
-        for _, row, combo in self.rows:
-            coeff = row.get(pivot)
-            if coeff:
-                _addmul(row, v, -coeff)
-                _addmul(combo, rcombo, -coeff)
-        self.rows.append((pivot, v, rcombo))
+        for i in sorted(cols[pivot]):
+            _, row, combo = rows[i]
+            coeff = row[pivot]
+            _addmul(row, v, -coeff)
+            _addmul(combo, rcombo, -coeff)
+            for k, held in col_sets:
+                if k in row:
+                    held.add(i)
+                else:
+                    held.discard(i)
+        n = len(rows)
+        for _, held in col_sets:
+            held.add(n)
+        self.pos[pivot] = n
+        rows.append((pivot, v, rcombo))
         return None
 
     def rank(self):

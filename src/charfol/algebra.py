@@ -316,8 +316,18 @@ def uni_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 
+def _is_one(den):
+    # den is monic, so a constant denominator is exactly 1
+    return len(den.terms) == 1 and (0,) in den.terms
+
+
 class RatFunc:
-    """num/den with den monic and gcd(num, den) = 1, over F_q in one variable."""
+    """num/den with den monic and gcd(num, den) = 1, over F_q in one variable.
+
+    Sums and products of operands whose denominators are both 1 skip
+    normalisation: the combined numerator over denominator 1 is already
+    reduced, the zero numerator included. So is -num/den for any operand.
+    """
 
     __slots__ = ("num", "den")
 
@@ -349,6 +359,14 @@ class RatFunc:
     def var(self):
         return self.num.vars[0]
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den as given, for a pair already in normal form."""
+        r = cls.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
+
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.field != self.field or other.var != self.var:
@@ -366,12 +384,14 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return RatFunc._reduced(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -386,6 +406,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return RatFunc._reduced(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

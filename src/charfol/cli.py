@@ -8,6 +8,7 @@ byte-identical JSON, so the outputs are usable as golden files.
 """
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -553,6 +554,15 @@ def main(argv=None):
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as e:
+        # the run stopped short of a verdict: report why, not a traceback.
+        # The failed run's frames, reachable from the traceback and from
+        # reference cycles, can hold the memory the report needs: free them.
+        e.__traceback__ = None
+        gc.collect()
+        rep = RunReport(ns.command, kwargs)
+        reason = f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
+        rep.add("error", INCONCLUSIVE, reason=reason)
     rep.wall_time = time.monotonic() - t0
     if ns.json:
         sys.stdout.write(rep.to_json())

@@ -123,9 +123,11 @@ def test_pipeline_pass_and_reject():
     assert code == 1  # 3 does not divide p + 1
 
 
-# every (p, d) with p an odd prime <= 11, d >= 2 and d | p + 1
+# every (p, d) with p an odd prime <= 11, d >= 2 and d | p + 1, and three
+# pairs at p = 13
 VALID_GRID = [(3, 2), (3, 4), (5, 2), (5, 3), (5, 6), (7, 2), (7, 4), (7, 8),
-              (11, 2), (11, 3), (11, 4), (11, 6), (11, 12)]
+              (11, 2), (11, 3), (11, 4), (11, 6), (11, 12), (13, 2), (13, 7),
+              (13, 14)]
 
 
 @pytest.mark.parametrize("p,d", VALID_GRID, ids=[f"p{p}-d{d}" for p, d in VALID_GRID])
@@ -228,3 +230,27 @@ def test_pipeline_has_no_jobs_flag():
 def test_bad_parameters_exit_2():
     code, _ = run(["tango-verify", "--p", "4", "--d", "2", "--json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error,reason", [
+    (foliation.DegreeBoundTooSmall("bound 9 is below 12"),
+     "DegreeBoundTooSmall: bound 9 is below 12"),
+    (MemoryError(), "MemoryError"),
+])
+def test_runtime_errors_end_in_an_inconclusive_report(monkeypatch, error, reason):
+    def stage(**kwargs):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "quotient", stage)
+    code, out = run(["quotient", "--p", "3", "--d", "2", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["command"] == "quotient"
+    assert rep["status"] == "inconclusive"
+    (check,) = rep["checks"]
+    assert check["name"] == "error"
+    assert check["status"] == "inconclusive"
+    assert check["values"]["reason"] == reason
+    code, out = run(["quotient", "--p", "3", "--d", "2"])
+    assert code == 1
+    assert f"reason={reason}" in out

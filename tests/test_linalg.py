@@ -1,7 +1,7 @@
 import random
 
 from charfol import gf
-from charfol._linalg import solve_span
+from charfol._linalg import SpanTracker, solve_span
 
 F5 = gf.Field(5)
 
@@ -44,3 +44,41 @@ def test_solve_span_many_targets_match_single_calls():
 
 def test_solve_span_without_targets():
     assert solve_span([{0: F5.one()}], []) == []
+
+
+class CountingRows(list):
+    """A row list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.reads += 1
+            yield row
+
+
+def test_tracker_reads_only_the_rows_it_must():
+    one = F5.one()
+    tracker = SpanTracker()
+    # ten rows also hold label 1000; the other 490 are unit vectors
+    for i in range(500):
+        tracker.insert({i: one, 1000: one} if i < 10 else {i: one}, i)
+    rows = tracker.rows = CountingRows(tracker.rows)
+    residual, combo = tracker.reduce({250: F5.from_int(3)})
+    assert (residual, combo) == ({}, {250: F5.from_int(3)})
+    assert rows.reads == 1
+    # a new pivot is cleared from the rows holding it, and only from those
+    rows.reads = 0
+    holding = set(tracker.cols[1000])
+    assert holding == set(range(10))
+    assert tracker.insert({1000: one}, 500) is None
+    assert rows.reads == len(holding)
+    for i in holding:
+        _, row, rcombo = rows[i]
+        assert row == {i: one}
+        assert rcombo == {i: one, 500: -one}
+    assert tracker.cols[1000] == {500}

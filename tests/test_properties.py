@@ -1,11 +1,14 @@
 """Property tests: series multiply and reciprocal, series conversion of
 rational functions and RatFunc normalisation, over random F_q with q = p^e,
-p in {3, 5, 7}, e <= 2."""
+p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general construction
+over F_5; sparse elimination against dense Gaussian elimination over F_5,
+F_9 and F_5(t)."""
 
 from hypothesis import given, settings, strategies as st
 
 from charfol import gf
-from charfol.algebra import MultiPoly, RatFunc
+from charfol._linalg import SpanTracker, kernel_basis, solve_span
+from charfol.algebra import FunField, MultiPoly, RatFunc
 from charfol.series import LaurentSeries
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
@@ -140,3 +143,119 @@ def test_series_monomial_inverts_exactly(data):
     P = v + data.draw(st.integers(1, 12))
     r = LaurentSeries(field, v, [c], P).reciprocal()
     assert (r.v0, r.coeffs, r.prec) == (-v, [c.inverse()], P - 2 * v)
+
+
+F5 = gf.Field(5)
+
+
+@st.composite
+def f5_ratfuncs(draw):
+    """num over denominator 1, or over a random polynomial (made monic)."""
+    num = draw(polys(F5))
+    den = draw(st.one_of(st.none(), polys(F5, max_deg=3, nonzero=True)))
+    return RatFunc(num, den)
+
+
+def _same_parts(r, num, den):
+    general = RatFunc(num, den)
+    for got, want in ((r.num, general.num), (r.den, general.den)):
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(deadline=None)
+@given(f5_ratfuncs(), f5_ratfuncs(), st.booleans())
+def test_ratfunc_sum_matches_general(a, b, cancel):
+    if cancel:
+        b = RatFunc(-a.num, a.den)
+    s = a + b
+    _same_parts(s, a.num * b.den + b.num * a.den, a.den * b.den)
+    if cancel:
+        assert s.num.is_zero()
+        assert s.den.terms == {(0,): F5.one()}
+
+
+@settings(deadline=None)
+@given(f5_ratfuncs(), f5_ratfuncs())
+def test_ratfunc_product_matches_general(a, b):
+    _same_parts(a * b, a.num * b.num, a.den * b.den)
+
+
+@settings(deadline=None)
+@given(f5_ratfuncs())
+def test_ratfunc_negative_matches_general(a):
+    _same_parts(-a, -a.num, a.den)
+
+
+LINALG_DOMAINS = [F5, gf.Field(3, 2), FunField(F5)]
+LABELS = range(6)
+
+
+def _nonzero_entries(domain):
+    if isinstance(domain, gf.Field):
+        return _elements(domain, nonzero=True)
+    # F_5(t): some denominators are not constant
+    return st.builds(RatFunc,
+                     polys(domain.field, max_deg=1, nonzero=True),
+                     st.one_of(st.none(), polys(domain.field, max_deg=1, nonzero=True)))
+
+
+def _sparse_vectors(domain, max_size):
+    vec = st.dictionaries(st.sampled_from(LABELS), _nonzero_entries(domain), max_size=3)
+    return st.lists(vec, max_size=max_size)
+
+
+def _combine(domain, vectors, combo):
+    out = {}
+    for i, c in combo.items():
+        if isinstance(c, int):
+            c = domain.from_int(c)
+        for k, val in vectors[i].items():
+            out[k] = out.get(k, domain.zero()) + val * c
+    return {k: val for k, val in out.items() if val}
+
+
+def _dense_rank(domain, vectors):
+    m = [[v.get(k, domain.zero()) for k in LABELS] for v in vectors]
+    rank = 0
+    for col in range(len(LABELS)):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col].inverse()
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_span_tracker_matches_dense_elimination(data):
+    domain = data.draw(st.sampled_from(LINALG_DOMAINS))
+    vectors = data.draw(_sparse_vectors(domain, max_size=7))
+    rank = _dense_rank(domain, vectors)
+    tracker = SpanTracker()
+    for i, vec in enumerate(vectors):
+        cert = tracker.insert(vec, i)
+        if cert is not None:
+            assert _combine(domain, vectors, cert) == vec
+    assert tracker.rank() == rank
+    kernel = kernel_basis(vectors)
+    assert len(kernel) == len(vectors) - rank
+    for rel in kernel:
+        assert _combine(domain, vectors, rel) == {}
+    targets = data.draw(_sparse_vectors(domain, max_size=3))
+    # and some targets inside the span
+    for _ in range(data.draw(st.integers(0, 2))):
+        combo = data.draw(st.dictionaries(st.sampled_from(range(len(vectors))),
+                                          _nonzero_entries(domain), max_size=3)
+                          if vectors else st.just({}))
+        targets.append(_combine(domain, vectors, combo))
+    for target, combo in zip(targets, solve_span(vectors, targets)):
+        inside = _dense_rank(domain, vectors + [target]) == rank
+        assert (combo is not None) == inside
+        if inside:
+            assert _combine(domain, vectors, combo) == target
