@@ -222,11 +222,6 @@ class MultiPoly:
             out = convert(self.domain.zero())
         return out
 
-    def rename_vars(self, new_vars):
-        if len(new_vars) != len(self.vars):
-            raise ValueError("variable count mismatch")
-        return MultiPoly(self.domain, tuple(new_vars), dict(self.terms))
-
     def leading(self):
         """(exponent, coeff) maximal in graded lex order."""
         e = max(self.terms, key=_grlex_key)
@@ -326,7 +321,8 @@ class RatFunc:
 
     Sums and products of operands whose denominators are both 1 skip
     normalisation: the combined numerator over denominator 1 is already
-    reduced, the zero numerator included. So is -num/den for any operand.
+    reduced, the zero numerator included. So are -num/den and num^n/den^n
+    for any operand; an inverse only divides out its new lead coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -428,11 +424,20 @@ class RatFunc:
 
     def __pow__(self, n):
         if n < 0:
-            return (self._coerce(1) / self) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+            return self.inverse() ** (-n)
+        # powers of a coprime pair stay coprime, and den^n is monic
+        return RatFunc._reduced(self.num**n, self.den**n)
 
     def inverse(self):
-        return self._coerce(1) / self
+        """den/num, a coprime pair: only num's lead coefficient is divided out."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        num, den = self.den, self.num
+        lead = den.terms[(den.degree(),)]
+        if lead != self.field.one():
+            num = num.map_coeffs(lambda c: c / lead)
+            den = den.map_coeffs(lambda c: c / lead)
+        return RatFunc._reduced(num, den)
 
     def derivative(self):
         """d/dt via the quotient rule, reduced."""
@@ -758,25 +763,26 @@ class ChartAlgebra:
 
     def reduced_monomials(self, max_total):
         """Exponent tuples of normal-form monomials with total degree <= max_total."""
-        caps = []
-        bound = {rel.index: rel.degree - 1 for rel in self.relations}
-        for i in range(len(self.vars)):
-            caps.append(min(bound.get(i, max_total), max_total))
+        caps = [max_total] * len(self.vars)
+        for rel in self.relations:
+            caps[rel.index] = min(rel.degree - 1, max_total)
+        # by_total[s]: the exponent tails over the variables from i on with
+        # total s, lex ascending; built from the last variable backwards
+        by_total = [[()]] + [[] for _ in range(max_total)]
+        for cap in reversed(caps):
+            by_total = [
+                [(k,) + tail for k in range(min(cap, s) + 1) for tail in by_total[s - k]]
+                for s in range(max_total + 1)
+            ]
+        return [e for block in by_total for e in block]
 
-        out = []
-
-        def rec(i, left, acc):
-            if i == len(self.vars):
-                out.append(tuple(acc))
-                return
-            for k in range(min(caps[i], left) + 1):
-                acc.append(k)
-                rec(i + 1, left - k, acc)
-                acc.pop()
-
-        rec(0, max_total, [])
-        out.sort(key=_grlex_key)
-        return out
+    def to_json(self):
+        return {
+            "vars": list(self.vars),
+            "relations": [
+                {"poly": str(rel.poly), "monic_in": rel.var} for rel in self.relations
+            ],
+        }
 
     def __eq__(self, other):
         return (

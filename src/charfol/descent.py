@@ -35,19 +35,19 @@ def in_Kp(r):
     )
 
 
-def _uni_pth_root(poly):
-    p = poly.domain.p
-    terms = {}
-    for (k,), c in poly.terms.items():
-        if k % p:
-            raise NotAPthPower(f"exponent {k} in {poly} is not divisible by {p}")
-        terms[(k // p,)] = gf.pth_root(c)
-    return MultiPoly(poly.domain, poly.vars, terms)
+def outside_Kp(chart):
+    """One line per relation coefficient of the chart that is not in K^p."""
+    return [
+        f"relation {j}: coefficient {c} of monomial {e}"
+        for j, rel in enumerate(chart.relations)
+        for e, c in sorted(rel.poly.terms.items())
+        if not in_Kp(c)
+    ]
 
 
 def pth_root_K(r):
     """The unique s in K with s^p = r; NotAPthPower when r is not in K^p."""
-    s = RatFunc(_uni_pth_root(r.num), _uni_pth_root(r.den))
+    s = RatFunc(*(multipoly_pth_root(f, gf.pth_root) for f in (r.num, r.den)))
     if s ** r.field.p != r:
         raise AssertionError("p-th root postcondition failed")
     return s
@@ -89,18 +89,9 @@ class ModelPair:
         self.provenance = provenance
 
     def to_json(self):
-        def chart_dict(chart):
-            return {
-                "vars": list(chart.vars),
-                "relations": [
-                    {"poly": str(rel.poly), "monic_in": rel.var}
-                    for rel in chart.relations
-                ],
-            }
-
         return {
-            "original": chart_dict(self.original),
-            "model": chart_dict(self.model),
+            "original": self.original.to_json(),
+            "model": self.model.to_json(),
             "provenance": self.provenance,
         }
 
@@ -118,11 +109,7 @@ def descend_algebra(A):
     if not isinstance(A.domain, FunField):
         raise ValueError("descent applies to charts over F_q(t)")
     p = A.domain.p
-    offenders = []
-    for j, rel in enumerate(A.relations):
-        for e, c in sorted(rel.poly.terms.items()):
-            if not in_Kp(c):
-                offenders.append(f"relation {j}: coefficient {c} of monomial {e}")
+    offenders = outside_Kp(A)
     if offenders:
         raise NoDescent("coefficients outside K^p: " + "; ".join(offenders))
 

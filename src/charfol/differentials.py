@@ -8,7 +8,7 @@ forms means equality after reduce_form.
 
 from . import gf
 from .algebra import MultiPoly, RatFunc, FunField
-from .descent import in_Kp
+from .descent import outside_Kp
 
 
 class NoModel(ValueError):
@@ -209,11 +209,7 @@ def split_absolute(form):
     chart = form.chart
     if not _has_t(chart):
         raise ValueError("splitting needs the constant field F_q(t)")
-    offenders = []
-    for j, rel in enumerate(chart.relations):
-        for e, c in sorted(rel.poly.terms.items()):
-            if not in_Kp(c):
-                offenders.append(f"relation {j}: coefficient {c} of {e}")
+    offenders = outside_Kp(chart)
     if offenders:
         raise NoModel("chart is not a model: " + "; ".join(offenders))
     red = reduce_form(form)

@@ -342,17 +342,7 @@ class FactorizationReport:
         return {
             "generators": [{"name": n, "expression": str(g)} for n, g in self.generators],
             "relations": [str(r) for r in self.relations],
-            "quotient_chart": (
-                None
-                if self.quotient is None
-                else {
-                    "vars": list(self.quotient.vars),
-                    "relations": [
-                        {"poly": str(r.poly), "monic_in": r.var}
-                        for r in self.quotient.relations
-                    ],
-                }
-            ),
+            "quotient_chart": None if self.quotient is None else self.quotient.to_json(),
             "power_certificates": {
                 v: str(c) for v, c in self.power_certificates.items()
             },

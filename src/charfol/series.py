@@ -6,7 +6,8 @@ coefficients below both its precision and its full degree, so short series
 multiply in time set by their lengths, not by the precision. Over prime
 fields it packs coefficients into one big integer (Kronecker substitution)
 so a single native multiply does the convolution. A monomial c*t^v inverts
-exactly; longer series invert by Newton iteration.
+exactly; longer series invert by Newton iteration, and newton solves
+polynomial equations the same way.
 """
 
 from . import gf
@@ -324,12 +325,30 @@ class LaurentSeries:
         return f"<series {self}>"
 
 
+def newton(evaluate, F, Fw, w, N):
+    """Refine w, a simple root of F known to precision 1, to precision N.
+
+    evaluate(G, w, k) substitutes the series w into the polynomial G (F or
+    its derivative Fw in the unknown), every other input known to precision
+    k. Each step doubles the precision (R. P. Brent and H. T. Kung, J. ACM
+    25, 1978); the result is verified by substitution before returning.
+    """
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        wk = w._with_prec(k)
+        w = (wk - evaluate(F, wk, k) / evaluate(Fw, wk, k)).truncate(k)
+    w = w._with_prec(N)
+    if evaluate(F, w, N).nonzero_before(N):
+        raise RuntimeError("Newton solution failed the substitution check")
+    return w
+
+
 def implicit_series(F, N):
     """Solve F(v, w(v)) = 0 for w with w(0) = 0, to precision N.
 
     F is a MultiPoly in exactly two variables (v, w) over a gf.Field with
-    F(0,0) = 0 and dF/dw(0,0) != 0. Newton iteration, precision doubles each
-    step; the result is verified by substitution before returning.
+    F(0,0) = 0 and dF/dw(0,0) != 0; newton does the solving.
     """
     if len(F.vars) != 2:
         raise ValueError("implicit_series expects a polynomial in two variables")
@@ -343,23 +362,13 @@ def implicit_series(F, N):
     if not c:
         raise NotSimpleRoot("dF/dw vanishes at the origin: root is not simple")
 
-    def fix(prec):
-        return lambda cc: LaurentSeries.constant(field, cc, prec)
-
-    w = LaurentSeries.zero(field, 1)
-    k = 1
-    while k < N:
-        k = min(2 * k, N)
+    def evaluate(G, w, k):
         v = LaurentSeries.t_power(field, 1, k + 1)
-        wk = w._with_prec(k)
-        num = F.evaluate({vname: v, wname: wk}, fix(k))
-        den = Fw.evaluate({vname: v, wname: wk}, fix(k))
-        w = (wk - num / den).truncate(k)
-    v = LaurentSeries.t_power(field, 1, N + 1)
-    residual = F.evaluate({vname: v, wname: w._with_prec(N)}, fix(N))
-    if residual.nonzero_before(N):
-        raise RuntimeError("implicit solution failed substitution check")
-    return w._with_prec(N)
+        return G.evaluate(
+            {vname: v, wname: w}, lambda cc: LaurentSeries.constant(field, cc, k)
+        )
+
+    return newton(evaluate, F, Fw, LaurentSeries.zero(field, 1), N)
 
 
 def ord_of_differential(x):

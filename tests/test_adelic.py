@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -198,6 +200,20 @@ def test_verify_equivalence_inconclusive_paths():
     rep = verify_equivalence(descend_and_factor(C, D), [], trials=20, seed=3)
     assert rep["status"] == "inconclusive"
     assert rep["trials"] == 0
+
+
+@pytest.mark.parametrize("assert_generated", [False, True])
+@pytest.mark.parametrize("verbose", [False, True])
+def test_verify_equivalence_without_sections(assert_generated, verbose):
+    C = raynaud_chart()
+    D = kernel_of_form(OneForm.d(C, C.var("z")))
+    rep = verify_equivalence(descend_and_factor(C, D), [], trials=7, seed=2,
+                             assert_generated=assert_generated, verbose=verbose)
+    # an empty run whatever was asked: no trials, no basis, no trial log
+    assert (rep["trials"], rep["generation_basis"], rep["status"]) == (0, "none", "inconclusive")
+    assert "trial_log" not in rep
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "5f67a53a45bef03ae275add3dcebd5574abd38a943b1817802e2a544914608b5"
 
 
 def test_verify_equivalence_deterministic():

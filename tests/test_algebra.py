@@ -1,8 +1,9 @@
+import gc
 import random
 
 import pytest
 
-from charfol import gf
+from charfol import cli, gf
 from charfol.algebra import (
     ChartAlgebra,
     FunField,
@@ -99,6 +100,19 @@ def test_reduced_monomials_grlex_ascending():
     monos = C.reduced_monomials(3)
     # z-degree capped below 2; graded order, later variable first inside a degree
     assert monos == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+
+
+def test_reduced_monomials_leaves_no_garbage():
+    # a reference cycle would hold the monomial list until a full collection
+    chart, _, _ = cli.preset_chart("raynaud-local", 5, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        chart.reduced_monomials(12)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_nf_respects_relation():

@@ -2,6 +2,7 @@ import io
 import contextlib
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -193,12 +194,20 @@ GOLDEN = [
      "9a7a3103bcc50f09cd7f34d636a98e42eae5427205e3bce866e37cb2e03c58a8"),
     ("equiv-check --p 3 --d 2 --chart affine-plane --trials 20 --seed 2 --json",
      "7189baf2969fc31e83b54195caf819b7022bb116d80c40a110da8235a0659f7c"),
+    # Newton at infinity, over a prime field and over F_9
+    ("tango-verify --p 7 --d 4 --json",
+     "7a3d9107bfdb566231ed621ef7a1b1dc26e3e7e8a69c1fec91479d12db607158"),
+    ("tango-verify --p 3 --d 2 --q 9 --json",
+     "85a90eac918345175a9bc243d51cc97741f98f5a88f18d0bec6ecffd9b4cafce"),
+    # the model pair's chart JSON
+    ('descend --poly "y^3 - t^3*x" --q 3 --json',
+     "63ce29ae30fd9af17a3bdd8343bf4ec951f735dfd2978e84cdf9833b8d3b644c"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
 def test_golden_report_digests(argv, digest):
-    _, out = run(argv.split())
+    _, out = run(shlex.split(argv))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

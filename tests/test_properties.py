@@ -1,9 +1,11 @@
-"""Property tests: series multiply and reciprocal, series conversion of
-rational functions and RatFunc normalisation, over random F_q with q = p^e,
-p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general construction
-over F_5; sparse elimination against dense Gaussian elimination over F_5,
-F_9 and F_5(t)."""
+"""Property tests: the field axioms, Frobenius and p-th roots over F_q with
+p in {2, 3, 5, 7}, e <= 4; series multiply and reciprocal, series conversion
+of rational functions and RatFunc normalisation, over random F_q with
+q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
+construction over F_5 (inverse and powers over F_9 too); sparse elimination
+against dense Gaussian elimination over F_5, F_9 and F_5(t)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from charfol import gf
@@ -33,6 +35,43 @@ def ratfunc_parts(draw):
 
 
 precisions = st.integers(1, 24)
+
+FIELD_GRID = [gf.Field(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3, 4)]
+grid_fields = st.sampled_from(FIELD_GRID)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_field_axioms(data):
+    field = data.draw(grid_fields)
+    a, b, c = (data.draw(_elements(field)) for _ in range(3))
+    zero, one = field.zero(), field.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a + (-a) == zero and a - b == a + (-b)
+    if a:
+        assert a * a.inverse() == one
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_frobenius_is_an_automorphism_inverted_by_pth_root(data):
+    field = data.draw(grid_fields)
+    a, b = (data.draw(_elements(field)) for _ in range(2))
+    frob = gf.frobenius
+    assert frob(a + b) == frob(a) + frob(b)
+    assert frob(a * b) == frob(a) * frob(b)
+    # a two-sided inverse: Frobenius is a bijection
+    assert gf.pth_root(frob(a)) == a and frob(gf.pth_root(a)) == a
+
+
+@settings(deadline=None)
+@given(grid_fields)
+def test_elements_are_q_distinct_values(field):
+    elems = list(field.elements())
+    assert len(elems) == len(set(elems)) == field.q
+    assert all(x.field == field for x in elems)
 
 
 @settings(deadline=None)
@@ -149,10 +188,10 @@ F5 = gf.Field(5)
 
 
 @st.composite
-def f5_ratfuncs(draw):
+def ratfuncs(draw, field=F5):
     """num over denominator 1, or over a random polynomial (made monic)."""
-    num = draw(polys(F5))
-    den = draw(st.one_of(st.none(), polys(F5, max_deg=3, nonzero=True)))
+    num = draw(polys(field))
+    den = draw(st.one_of(st.none(), polys(field, max_deg=3, nonzero=True)))
     return RatFunc(num, den)
 
 
@@ -163,7 +202,7 @@ def _same_parts(r, num, den):
 
 
 @settings(deadline=None)
-@given(f5_ratfuncs(), f5_ratfuncs(), st.booleans())
+@given(ratfuncs(), ratfuncs(), st.booleans())
 def test_ratfunc_sum_matches_general(a, b, cancel):
     if cancel:
         b = RatFunc(-a.num, a.den)
@@ -175,15 +214,27 @@ def test_ratfunc_sum_matches_general(a, b, cancel):
 
 
 @settings(deadline=None)
-@given(f5_ratfuncs(), f5_ratfuncs())
+@given(ratfuncs(), ratfuncs())
 def test_ratfunc_product_matches_general(a, b):
     _same_parts(a * b, a.num * b.num, a.den * b.den)
 
 
 @settings(deadline=None)
-@given(f5_ratfuncs())
+@given(ratfuncs())
 def test_ratfunc_negative_matches_general(a):
     _same_parts(-a, -a.num, a.den)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([F5, gf.Field(3, 2)]).flatmap(ratfuncs), st.integers(0, 4))
+def test_ratfunc_inverse_and_power_match_general(a, n):
+    _same_parts(a ** n, a.num ** n, a.den ** n)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    _same_parts(a.inverse(), a.den, a.num)
+    _same_parts(a ** -n, a.den ** n, a.num ** n)
 
 
 LINALG_DOMAINS = [F5, gf.Field(3, 2), FunField(F5)]
