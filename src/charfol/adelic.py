@@ -38,6 +38,10 @@ class UnsupportedPresentation(ValueError):
     pass
 
 
+class NoStarBound(RuntimeError):
+    """min_star_precision cannot bound the pullback terms of a section."""
+
+
 def _base_field(chart):
     return chart.domain.field if isinstance(chart.domain, FunField) else chart.domain
 
@@ -147,19 +151,50 @@ def pullback_form(point, form):
 
 def min_star_precision(chart, sections):
     """Smallest precision whose star horizon (half of it) reaches every term
-    a nonzero pullback of the sections can have along a drawn point: drawn
-    coordinates have terms up to degree top and derivatives below
-    _FREE_TOP - 1 (p-th powers differentiate to 0), so a coefficient of
-    degree s gives terms below s * top + _FREE_TOP - 1. Assumes components
-    on drawn coordinates and coefficients constant in t, as on the presets.
+    a nonzero pullback of the sections can have along a drawn point.
+
+    Drawn coordinates have terms up to degree top and derivatives below
+    _FREE_TOP - 1 (p-th powers differentiate to 0). The coordinate that
+    random_local_point solves for is a polynomial of degree w in the drawn
+    ones: it weighs w in a coefficient's degree, and its derivative has
+    terms below w * top. A component a*dv then has terms below
+    deg(a) * top plus the bound for v' (_FREE_TOP - 1 for dt). Raises
+    NoStarBound when a section needs a Newton-completed coordinate, a series
+    with no last term, or a coefficient that is not constant in t.
     """
     top = max(_FREE_TOP - 1, chart.domain.p * (_P_POWER_MULTIPLES - 1))
-    s = max(
-        (c.degree() for w in sections for c in (*w.comps, w.t_comp)
-         if c is not None and not c.is_zero()),
-        default=0,
-    )
-    return 2 * (s * top + _FREE_TOP - 1)
+    weight = dict.fromkeys(chart.vars, 1)
+    below = dict.fromkeys(chart.vars + (None,), _FREE_TOP - 1)
+    solve_var, rel = _linear_unit_var(chart)
+    if solve_var is not None:
+        _require_t_free(rel.poly, f"the relation solved for {solve_var}")
+        i = chart.vars.index(solve_var)
+        weight[solve_var] = max((sum(e) for e in rel.poly.terms if not e[i]), default=0)
+        below[solve_var] = weight[solve_var] * top
+    elif chart.relations:
+        weight[chart.relations[0].var] = None
+    bound = _FREE_TOP - 1
+    for w in sections:
+        for v, a in (*zip(chart.vars, w.comps), (None, w.t_comp)):
+            if a is None or a.is_zero():
+                continue
+            _require_t_free(a, f"section {w}")
+            used = {u for e in a.terms for u, k in zip(chart.vars, e) if k} | {v}
+            newton = [u for u in chart.vars if u in used and weight[u] is None]
+            if newton:
+                raise NoStarBound(
+                    f"section {w} needs the Newton-completed coordinate {newton[0]}, "
+                    f"a series with no last term")
+            deg = max(sum(k * weight[u] for u, k in zip(chart.vars, e) if k)
+                      for e in a.terms)
+            bound = max(bound, deg * top + below[v])
+    return 2 * bound
+
+
+def _require_t_free(poly, what):
+    if isinstance(poly.domain, FunField) and not all(
+            c.is_constant() for c in poly.terms.values()):
+        raise NoStarBound(f"{what} has a coefficient that is not constant in t")
 
 
 def star_condition(point, sections, horizon=None):
@@ -348,8 +383,8 @@ def _random_free_series(field, rng, N, p_powered):
     v0 = min(terms) if terms else 0
     coeffs = [field.from_int(0)] * (max(terms) - v0 + 1) if terms else []
     for k, c in terms.items():
-        # c < q indexes all of F_q, not only the prime field
-        coeffs[k - v0] = field.element(gf.digits(c, field.p, field.e))
+        # c < q is the code of an element of F_q, not only of the prime field
+        coeffs[k - v0] = gf.FieldElement(field, c)
     return LaurentSeries(field, v0, coeffs, N)
 
 

@@ -1,8 +1,14 @@
 """Exact arithmetic in F_q, q = p^e, as F_p[u]/(m(u)).
 
-Elements are immutable coefficient tuples over F_p. The characteristic is
-exposed everywhere as .p; frobenius and pth_root are total maps (the field is
-perfect). Supported bound: q <= 2^16.
+An element is one int n = c_0 + c_1 p + ... + c_(e-1) p^(e-1) in [0, q), the
+base-p code of its coefficients over F_p (FieldElement.n); the coefficients
+are read back only to print. Over F_p the operations are int operations mod
+p. For e > 1 a Field builds, on first use, tables over a primitive element g
+(K. Huber, IEEE Trans. Inf. Theory 36(4), 1990): exp[k] = g^k for k in
+[0, 2(q-1)), log[n] with log[0] = -1, and zech[k] = log(1 + g^k). A product,
+an inverse or a power is then arithmetic on logs, a sum one Zech lookup. The
+characteristic is exposed everywhere as .p; frobenius and pth_root are total
+maps (the field is perfect). Supported bound: q <= 2^16.
 """
 
 MAX_Q = 1 << 16
@@ -35,6 +41,17 @@ def _is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 # -- dense univariate helpers over F_p (little-endian int lists, trimmed) --
 
 
@@ -55,7 +72,7 @@ def _trim(cs):
 
 def _poly_rem(a, b, p):
     """Remainder of a modulo b; b need not be monic (lead inverted mod p)."""
-    a = list(a)
+    a = _trim([c % p for c in a])
     db = len(b) - 1
     inv_lead = pow(b[-1], p - 2, p)
     while len(a) - 1 >= db and a:
@@ -80,7 +97,7 @@ def _irreducible(m, p):
 class Field:
     """F_p[u]/(m(u)); for e = 1 no modulus is stored."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_upow")
+    __slots__ = ("p", "e", "q", "modulus", "exp", "log", "zech")
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -106,22 +123,6 @@ class Field:
             if not _irreducible(list(modulus), p):
                 raise ReducibleModulus(f"{self._fmt_mod(modulus)} is reducible over F_{p}")
             self.modulus = modulus
-        # reduction table for u^k, k in [e, 2e-2]
-        if e > 1:
-            table = []
-            cur = [(-c) % p for c in self.modulus[:-1]]  # u^e
-            table.append(tuple(cur))
-            for _ in range(e - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for i in range(e):
-                        nxt[i] = (nxt[i] + lead * table[0][i]) % p
-                cur = nxt
-                table.append(tuple(cur))
-            self._upow = tuple(table)
-        else:
-            self._upow = ()
 
     def _search_modulus(self):
         # lexicographic over constant-first coefficient vectors
@@ -136,35 +137,108 @@ class Field:
     def _fmt_mod(m):
         return " + ".join(f"{c}*u^{i}" for i, c in enumerate(m) if c) or "0"
 
+    # -- the tables of an extension field --
+
+    def __getattr__(self, name):
+        # only unset slots land here: the tables are built on first use
+        if name in ("exp", "log", "zech") and self.e > 1:
+            self._build_tables()
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def _mulmod(self, a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return _poly_rem(prod, self.modulus, self.p)
+
+    def _is_primitive(self, g):
+        for r in _prime_factors(self.q - 1):
+            x, base, n = [1], g, (self.q - 1) // r
+            while n:
+                if n & 1:
+                    x = self._mulmod(x, base)
+                base = self._mulmod(base, base)
+                n >>= 1
+            if x == [1]:
+                return False
+        return True
+
+    def _build_tables(self):
+        """exp, log and zech over the primitive g of least code. exp holds
+        its q-1 powers twice, so a sum of two logs indexes it unreduced; zech
+        is -1 where g^k = -1."""
+        p, e, q = self.p, self.e, self.q
+        g = next(ds for ds in (digits(n, p, e) for n in range(p, q))
+                 if self._is_primitive(ds))
+        # Walk x -> g*x with the digits of x in w-bit slots of one int. The
+        # map is F_p-linear, so g*x is the slot-wise sum of the images of
+        # x's low k digits and of its high digits, read from two half-size
+        # tables; then every slot at or above p loses p.
+        w = (2 * p).bit_length() + 1
+        k = e // 2
+        low = (1 << w * k) - 1
+        bias = sum(((1 << w - 1) - p) << w * i for i in range(e))
+        high = sum(1 << w * i + w - 1 for i in range(e))
+
+        def slots(ds):
+            return sum(d << w * i for i, d in enumerate(ds))
+
+        image, code = {}, {}
+        for shift, count in ((0, k), (k, e - k)):
+            for n in range(p**count):
+                ds = [0] * shift + digits(n, p, count)
+                image[slots(ds)] = slots(self._mulmod(ds, g))
+                code[slots(ds)] = n * p**shift
+        exp = [0] * (q - 1)
+        x = 1
+        for i in range(q - 1):
+            lo = x & low
+            exp[i] = code[lo] + code[x - lo]
+            x = image[lo] + image[x - lo]
+            x -= (((x + bias) & high) >> w - 1) * p
+        log = [-1] * q
+        for i, n in enumerate(exp):
+            log[n] = i
+        # adding 1 changes only digit 0
+        self.zech = [log[n + 1 if n % p != p - 1 else n + 1 - p] for n in exp]
+        self.exp = exp + exp
+        self.log = log
+
+    # -- elements --
+
     def zero(self):
-        return FieldElement(self, (0,) * self.e)
+        return FieldElement(self, 0)
 
     def one(self):
-        return self.from_int(1)
+        return FieldElement(self, 1)
 
     def from_int(self, n):
-        return FieldElement(self, (n % self.p,) + (0,) * (self.e - 1))
+        return FieldElement(self, n % self.p)
 
     def gen(self):
         """The class of u; only defined for proper extensions."""
         if self.e == 1:
             raise ValueError("prime field has no generator symbol u")
-        return FieldElement(self, (0, 1) + (0,) * (self.e - 2))
+        return FieldElement(self, self.p)
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
             return self.from_int(coeffs)
-        cs = tuple(c % self.p for c in coeffs)
-        if len(cs) > self.e:
+        if len(coeffs) > self.e:
             raise ValueError("too many coefficients")
-        return FieldElement(self, cs + (0,) * (self.e - len(cs)))
+        p = self.p
+        return FieldElement(self, sum(c % p * p**i for i, c in enumerate(coeffs)))
 
     def elements(self):
-        for idx in range(self.q):
-            yield FieldElement(self, tuple(digits(idx, self.p, self.e)))
+        for n in range(self.q):
+            yield FieldElement(self, n)
 
     def random_element(self, rng):
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
+        # one draw per coefficient, constant first
+        p = self.p
+        return FieldElement(self, sum(rng.randrange(p) * p**i for i in range(self.e)))
 
     def __eq__(self, other):
         return (
@@ -184,11 +258,13 @@ class Field:
 
 
 class FieldElement:
-    __slots__ = ("field", "coeffs")
+    """The element of field with base-p code n."""
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "n")
+
+    def __init__(self, field, n):
         self.field = field
-        self.coeffs = coeffs
+        self.n = n
 
     def _check(self, other):
         if isinstance(other, int):
@@ -198,17 +274,32 @@ class FieldElement:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._check(other)
+        a, b = self.n, other.n
+        if f.e == 1:
+            return FieldElement(f, (a + b) % f.p)
+        if not a:
+            return other
+        if not b:
+            return self
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
+        log = f.log
+        i = log[a]
+        z = f.zech[log[b] - i]
+        return FieldElement(f, f.exp[i + z] if z >= 0 else 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        if f.e == 1:
+            return FieldElement(f, -self.n % f.p)
+        if not self.n or f.p == 2:
+            return self
+        # -1 = g^((q-1)/2)
+        return FieldElement(f, f.exp[f.log[self.n] + (f.q - 1) // 2])
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -217,32 +308,26 @@ class FieldElement:
         return (-self) + self.field.from_int(other)
 
     def __mul__(self, other):
-        other = self._check(other)
         f = self.field
-        p, e = f.p, f.e
-        if e == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = [0] * (2 * e - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % p
-        out = prod[:e]
-        for k in range(e, 2 * e - 1):
-            c = prod[k]
-            if c:
-                red = f._upow[k - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FieldElement(f, tuple(out))
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._check(other)
+        a, b = self.n, other.n
+        if f.e == 1:
+            return FieldElement(f, a * b % f.p)
+        if not a or not b:
+            return FieldElement(f, 0)
+        log = f.log
+        return FieldElement(f, f.exp[log[a] + log[b]])
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        if not self.n:
             raise ZeroDivisionError("inverse of 0 in " + repr(self.field))
-        return self ** (self.field.q - 2)
+        f = self.field
+        if f.e == 1:
+            return FieldElement(f, pow(self.n, f.p - 2, f.p))
+        return FieldElement(f, f.exp[f.q - 1 - f.log[self.n]])
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -253,36 +338,33 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        if f.e == 1:
+            return FieldElement(f, pow(self.n, n, f.p))
+        if not self.n:
+            return FieldElement(f, 0 if n else 1)
+        return FieldElement(f, f.exp[f.log[self.n] * n % (f.q - 1)])
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
         return (
             isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
+            and other.n == self.n
+            and (other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return hash((self.field.p, self.field.e, self.n))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.n != 0
 
     def __str__(self):
         if self.field.e == 1:
-            return str(self.coeffs[0])
+            return str(self.n)
         parts = []
-        for k in range(self.field.e - 1, -1, -1):
-            c = self.coeffs[k]
+        for k, c in reversed(list(enumerate(digits(self.n, self.field.p, self.field.e)))):
             if not c:
                 continue
             if k == 0:

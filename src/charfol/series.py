@@ -42,15 +42,29 @@ def _conv_prime(p, a, b, out_len):
 
 
 def _conv_generic(field, a, b, out_len):
-    out = [field.zero() for _ in range(out_len)]
-    for i, x in enumerate(a):
-        if not x:
+    """The same over F_q with e > 1, on discrete logs: a product is a sum of
+    logs and a sum one Zech lookup (gf.Field tables), with -1 for zero. A
+    log below 2(q-1) indexes exp unreduced."""
+    q1 = field.q - 1
+    log, zech = field.log, field.zech
+    la = [log[c.n] for c in a]
+    lb = [log[c.n] for c in b]
+    out = [-1] * out_len
+    for i, x in enumerate(la[:out_len]):
+        if x < 0:
             continue
-        jmax = min(len(b), out_len - i)
-        for j in range(jmax):
-            if b[j]:
-                out[i + j] = out[i + j] + x * b[j]
-    return out
+        for k, y in enumerate(lb[: out_len - i], i):
+            if y < 0:
+                continue
+            s = out[k]
+            if s < 0:
+                out[k] = x + y
+            else:
+                # g^s + g^t = g^s (1 + g^(t-s))
+                z = zech[(x + y - s) % q1]
+                out[k] = (s + z) % q1 if z >= 0 else -1
+    exp = field.exp
+    return [gf.FieldElement(field, exp[s] if s >= 0 else 0) for s in out]
 
 
 class LaurentSeries:
@@ -203,10 +217,10 @@ class LaurentSeries:
         if out_len <= 0:
             return LaurentSeries.zero(f, prec)
         if f.e == 1:
-            a = [c.coeffs[0] for c in self.coeffs]
-            b = [c.coeffs[0] for c in other.coeffs]
+            a = [c.n for c in self.coeffs]
+            b = [c.n for c in other.coeffs]
             raw = _conv_prime(f.p, a, b, out_len)
-            coeffs = [gf.FieldElement(f, (v,)) for v in raw]
+            coeffs = [gf.FieldElement(f, v) for v in raw]
         else:
             coeffs = _conv_generic(f, self.coeffs, other.coeffs, out_len)
         return LaurentSeries(f, self.v0 + other.v0, coeffs, prec)
@@ -255,6 +269,15 @@ class LaurentSeries:
             return self.reciprocal() ** (-n)
         if n == 0:
             return LaurentSeries.constant(self.field, 1, self.prec)
+        f = self.field
+        p = f.p
+        if n % p == 0:
+            # s^p is a Frobenius, c_i t^i -> c_i^p t^(p*i), one pass; its
+            # precision is the N + (p-1)v that repeated multiplication gives
+            out = [f.zero()] * (p * len(self.coeffs))
+            out[::p] = [gf.frobenius(c) for c in self.coeffs]
+            prec = self.prec + (p - 1) * self._val_bound()
+            return LaurentSeries(f, p * self.v0, out, prec) ** (n // p)
         result = None
         base = self
         while n:

@@ -12,12 +12,14 @@ from charfol.series import LaurentSeries
 from charfol.adelic import (
     LocalPoint,
     NoLift,
+    NoStarBound,
     NotOnVariety,
     QuotientPresentation,
     UnsupportedPresentation,
     descend_and_factor,
     lift_point,
     make_point,
+    min_star_precision,
     pullback_form,
     random_local_point,
     solve_coordinate,
@@ -231,3 +233,33 @@ def test_verify_equivalence_verbose_log():
     dx = OneForm.d(C, C.var("x"))
     rep = verify_equivalence(descend_and_factor(C, D), [dx], trials=5, seed=1, verbose=True)
     assert len(rep["trial_log"]) == 5
+
+
+def _star_count(chart, sections, prec, trials=200, seed=5):
+    rng = random.Random(seed)
+    return sum(star_condition(random_local_point(chart, rng, prec), sections)
+               for _ in range(trials))
+
+
+def test_min_star_precision_covers_the_solved_coordinate():
+    C = raynaud_chart()
+    # dz sits on a drawn coordinate; dx on x = z^2 - y^3, of degree 3 in them
+    assert min_star_precision(C, [OneForm.d(C, C.var("z"))]) == 14
+    dx = [OneForm.d(C, C.var("x"))]
+    need = min_star_precision(C, dx)
+    assert need == 42
+    assert _star_count(C, dx, need) == _star_count(C, dx, 64)
+    # the drawn-coordinate bound alone misses late first terms of x'
+    assert _star_count(C, dx, 14) < _star_count(C, dx, 64)
+
+
+def test_min_star_precision_refuses_what_it_cannot_bound():
+    C = tango_chart()  # y is completed by Newton: a series with no last term
+    with pytest.raises(NoStarBound, match="Newton-completed coordinate y"):
+        min_star_precision(C, [OneForm.d(C, C.var("y"))])
+    with pytest.raises(NoStarBound, match="Newton-completed coordinate y"):
+        min_star_precision(C, [OneForm(C, [C.var("y"), C.zero()])])
+    assert min_star_precision(C, [OneForm.d(C, C.var("x"))]) == 14
+    t = C.constant(K.gen())
+    with pytest.raises(NoStarBound, match="not constant in t"):
+        min_star_precision(C, [OneForm(C, [t, C.zero()])])

@@ -202,6 +202,16 @@ GOLDEN = [
     # the model pair's chart JSON
     ('descend --poly "y^3 - t^3*x" --q 3 --json',
      "63ce29ae30fd9af17a3bdd8343bf4ec951f735dfd2978e84cdf9833b8d3b644c"),
+    # extension fields: F_25 on both charts, F_3^10 at the top of the
+    # q <= 2^16 domain, and the star count over F_729
+    ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart raynaud-local --json",
+     "2f7f8777330dc1363805ea182eeffaa2c2592556fe2b78bd8344b6879cce8cb2"),
+    ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart affine-plane --json",
+     "c0bf8dcb49d2ab2aa7ec3aa0f8fa4532e5b386443761b97919e093edd00eddb0"),
+    ("equiv-check --p 3 --d 2 --q 59049 --trials 20 --seed 1 --json",
+     "87ef76821a10a769628bb2295d43636e35f441dcace853ba405ba2a0c9388022"),
+    ("star-check --p 3 --d 2 --q 729 --json",
+     "e82bbb25b84a3782917b80f18cf262d840f86d215d6df4a5e9c63caf2598f791"),
 ]
 
 

@@ -80,3 +80,158 @@ def test_from_int_wraps():
     F = gf.Field(5)
     assert F.from_int(12) == F.from_int(2)
     assert F.from_int(-1) == F.from_int(4)
+
+
+# -- the log tables against a schoolbook polynomial reference --
+#
+# An element is read as its digit list (constant first); the reference
+# multiplies digit lists and reduces modulo the field's stored modulus.
+
+
+def _digits(x):
+    return gf.digits(x.n, x.field.p, x.field.e)
+
+
+def _ref_mul(F, a, b):
+    p, e, m = F.p, F.e, F.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    # u^k = -u^(k-e) * (m_0 + ... + m_(e-1) u^(e-1)), from the top down
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k] % p
+        for i in range(e):
+            prod[k - e + i] -= c * m[i]
+    return [c % p for c in prod[:e]]
+
+
+def _ref_pow(F, a, n):
+    out = [1] + [0] * (F.e - 1)
+    for bit in bin(n)[2:]:
+        out = _ref_mul(F, out, out)
+        if bit == "1":
+            out = _ref_mul(F, out, a)
+    return out
+
+
+def _mismatches(F, pairs, powers=(0, 1, 2, 3, 7)):
+    """The operations whose results differ from the reference on pairs of
+    digit lists (unary operations on the first of each pair)."""
+    p, e = F.p, F.e
+    one = [1] + [0] * (e - 1)
+    bad = set()
+    for x, y in pairs:
+        a, b = F.element(x), F.element(y)
+        if _digits(a * b) != _ref_mul(F, x, y):
+            bad.add("mul")
+        if _digits(a + b) != [(s + t) % p for s, t in zip(x, y)]:
+            bad.add("add")
+        if _digits(a - b) != [(s - t) % p for s, t in zip(x, y)]:
+            bad.add("sub")
+    for x in sorted({tuple(x) for x, _ in pairs}):
+        x = list(x)
+        a = F.element(x)
+        if _digits(-a) != [-s % p for s in x]:
+            bad.add("neg")
+        if any(_digits(a**n) != _ref_pow(F, x, n) for n in powers):
+            bad.add("pow")
+        if _digits(gf.frobenius(a)) != _ref_pow(F, x, p):
+            bad.add("frobenius")
+        if _ref_pow(F, _digits(gf.pth_root(a)), p) != x:
+            bad.add("pth_root")
+        if a and _ref_mul(F, _digits(a.inverse()), x) != one:
+            bad.add("inverse")
+    return bad
+
+
+def _all_pairs(F):
+    elems = [gf.digits(n, F.p, F.e) for n in range(F.q)]
+    return [(x, y) for x in elems for y in elems]
+
+
+def _sampled_pairs(F, count=300, seed=0):
+    rng = random.Random(seed)
+    return [tuple(gf.digits(rng.randrange(F.q), F.p, F.e) for _ in range(2))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_reference_on_all_pairs(p, e):
+    F = gf.Field(p, e)
+    assert _mismatches(F, _all_pairs(F)) == set()
+
+
+@pytest.mark.parametrize("p,e", [(5, 3), (2, 10), (3, 10)])
+def test_tables_match_reference_on_sampled_pairs(p, e):
+    F = gf.Field(p, e)
+    # large exponents reach the far end of the antilog table
+    powers = (0, 1, 2, F.q - 2, F.q - 1, F.q, 3 * F.q + 5)
+    assert _mismatches(F, _sampled_pairs(F), powers) == set()
+
+
+def _zech_off_by_one(F):
+    k = next(k for k, z in enumerate(F.zech) if z >= 0)
+    F.zech[k] = (F.zech[k] + 1) % (F.q - 1)
+
+
+def _wrong_log_of_minus_one(F):
+    F.log[F.p - 1] = (F.log[F.p - 1] + 1) % (F.q - 1)
+
+
+def _minus_one_missing_from_exp(F):
+    # exp[(q-1)/2] is -1; make it 1 in both copies
+    half = (F.q - 1) // 2
+    F.exp[half] = F.exp[half + F.q - 1] = 1
+
+
+def _exp_entries_swapped(F):
+    for k in (1, F.q):
+        F.exp[k], F.exp[k + 1] = F.exp[k + 1], F.exp[k]
+
+
+MUTATIONS = [
+    (_zech_off_by_one, {"add", "sub"}),
+    (_wrong_log_of_minus_one, {"mul", "inverse", "pow"}),
+    (_minus_one_missing_from_exp, {"neg", "sub"}),
+    (_exp_entries_swapped, {"mul", "pow", "frobenius", "pth_root"}),
+]
+
+
+@pytest.mark.parametrize("mutate,caught", MUTATIONS, ids=[m.__name__ for m, _ in MUTATIONS])
+def test_reference_check_catches_a_corrupted_table(mutate, caught):
+    F = gf.Field(5, 2)
+    mutate(F)
+    assert caught <= _mismatches(F, _all_pairs(F))
+
+
+def test_every_checked_operation_has_a_mutation_it_catches():
+    ops = {"mul", "add", "sub", "neg", "pow", "frobenius", "pth_root", "inverse"}
+    assert set().union(*(c for _, c in MUTATIONS)) == ops
+
+
+def _ref_str(ds):
+    parts = []
+    for k in range(len(ds) - 1, -1, -1):
+        c = ds[k]
+        if c:
+            mono = "" if k == 0 else "u" if k == 1 else f"u^{k}"
+            parts.append(str(c) if not mono else mono if c == 1 else f"{c}*{mono}")
+    return "+".join(parts) or "0"
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2)])
+def test_str_is_the_digit_format(p, e):
+    F = gf.Field(p, e)
+    assert [str(x) for x in F.elements()] == [
+        _ref_str(gf.digits(n, p, e)) for n in range(F.q)]
+    assert str(F.element([2, 0])) == "2" and str(F.element([1, 2])) == "2*u+1"
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (5, 2), (3, 4)])
+def test_random_element_draws_one_digit_per_coefficient(p, e):
+    F = gf.Field(p, e)
+    rng, ref = random.Random(9), random.Random(9)
+    for _ in range(20):
+        assert _digits(F.random_element(rng)) == [ref.randrange(p) for _ in range(e)]
+    assert rng.getstate() == ref.getstate()

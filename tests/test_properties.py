@@ -1,16 +1,19 @@
 """Property tests: the field axioms, Frobenius and p-th roots over F_q with
-p in {2, 3, 5, 7}, e <= 4; series multiply and reciprocal, series conversion
+p in {2, 3, 5, 7}, e <= 4; series multiply, reciprocal and powers, series conversion
 of rational functions and RatFunc normalisation, over random F_q with
 q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
-against dense Gaussian elimination over F_5, F_9 and F_5(t)."""
+against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
+forms (idempotent, blind to the relation ideal) and the descent p-th roots
+in K = F_q(t) and in polynomial rings over F_q and K."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charfol import gf
 from charfol._linalg import SpanTracker, kernel_basis, solve_span
-from charfol.algebra import FunField, MultiPoly, RatFunc
+from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
+from charfol.descent import frobenius_K, in_Kp, multipoly_pth_root, pth_root_K
 from charfol.series import LaurentSeries
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
@@ -184,6 +187,22 @@ def test_series_monomial_inverts_exactly(data):
     assert (r.v0, r.coeffs, r.prec) == (-v, [c.inverse()], P - 2 * v)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_series_power_divisible_by_p_is_repeated_multiplication(data):
+    field = data.draw(fields)
+    p = field.p
+    s = data.draw(series(field))
+    n = data.draw(st.sampled_from([p, 2 * p, p * p, 3 * p]))
+    # the zero series too, at the drawn precision
+    for base in (s, LaurentSeries.zero(field, s.prec)):
+        ref = base
+        for _ in range(n - 1):
+            ref = ref * base
+        got = base**n
+        assert (got.v0, got.coeffs, got.prec) == (ref.v0, ref.coeffs, ref.prec)
+
+
 F5 = gf.Field(5)
 
 
@@ -310,3 +329,75 @@ def test_span_tracker_matches_dense_elimination(data):
         assert (combo is not None) == inside
         if inside:
             assert _combine(domain, vectors, combo) == target
+
+
+# -- chart normal forms and descent to K^p --
+
+
+def _chart(domain, vars, rels):
+    return ChartAlgebra(domain, vars, [(parse_poly(r, vars, domain), v) for r, v in rels])
+
+
+CHARTS = [
+    # the raynaud-local preset at (3,2) and (5,3), the Tango chart at (3,2)
+    _chart(FunField(gf.Field(3)), ("x", "y", "z"), [("z^2 - y^3 - x", "z")]),
+    _chart(FunField(gf.Field(5)), ("x", "y", "z"), [("z^3 - y^5 - x", "z")]),
+    _chart(FunField(gf.Field(3, 2)), ("x", "y"), [("y^6 - y - x^5", "y")]),
+    # two triangular relations over a finite field
+    _chart(gf.Field(5), ("x", "y", "z"), [("y^2 - x", "y"), ("z^3 - y*z - x", "z")]),
+]
+
+
+def _coeffs(domain):
+    if isinstance(domain, gf.Field):
+        return _elements(domain)
+    return st.builds(RatFunc, polys(domain.field, max_deg=2),
+                     polys(domain.field, max_deg=1, nonzero=True))
+
+
+@st.composite
+def chart_polys(draw, domain, vars, max_exp=3, max_terms=3):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * len(vars)),
+                                 _coeffs(domain), max_size=max_terms))
+    return MultiPoly(domain, vars, {e: c for e, c in terms.items() if c})
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_normal_form_is_idempotent(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    f = chart.nf(data.draw(chart_polys(chart.domain, chart.vars)))
+    assert chart.is_reduced(f)
+    assert chart.nf(f) == f
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_normal_form_is_blind_to_the_relation_ideal(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    f = data.draw(chart_polys(chart.domain, chart.vars))
+    g = data.draw(chart_polys(chart.domain, chart.vars, max_exp=2, max_terms=2))
+    rel = data.draw(st.sampled_from(chart.relations))
+    assert chart.nf(f + g * rel.poly) == chart.nf(f)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_pth_root_K_inverts_the_pth_power(data):
+    field = data.draw(fields)
+    s = data.draw(_coeffs(FunField(field)))
+    r = s**field.p
+    assert in_Kp(r)
+    assert pth_root_K(r) == s
+    assert frobenius_K(pth_root_K(r)) == r
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_multipoly_pth_root_inverts_the_pth_power(data):
+    field = data.draw(fields)
+    domain = data.draw(st.sampled_from([field, FunField(field)]))
+    root = gf.pth_root if domain is field else pth_root_K
+    f = data.draw(chart_polys(domain, ("x", "y"), max_exp=2))
+    F = f**field.p
+    assert multipoly_pth_root(F, root) == f
