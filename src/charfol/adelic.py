@@ -12,7 +12,7 @@ lifts exactly when every supplied section pulls back to zero.
 import random
 
 from . import gf
-from .algebra import MultiPoly, FunField
+from .algebra import MultiPoly, FunField, restrict_to_field
 from .series import LaurentSeries, NotSimpleRoot, newton
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
@@ -238,9 +238,12 @@ class QuotientPresentation:
             self.images[v] = source.nf(img)
         bound = 3 * p
         image_list = list(self.images.values())
-        products, _, _ = _generator_monomials(source, image_list, bound)
+        # the span check runs over F_q when the chart and images are t-free
+        chart, image_list = (restrict_to_field(source, image_list)
+                             or (source, image_list))
+        products, _, _ = _generator_monomials(chart, image_list, bound)
         vectors = [poly.terms for _, poly in products]
-        targets = [source.nf(source.var(s) ** p).terms for s in source.vars]
+        targets = [chart.nf(chart.var(s) ** p).terms for s in chart.vars]
         for s, combo in zip(source.vars, solve_span(vectors, targets)):
             if combo is None:
                 raise UnsupportedPresentation(

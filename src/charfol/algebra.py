@@ -181,8 +181,11 @@ class MultiPoly:
                 del terms[e2]
         return MultiPoly(self.domain, self.vars, terms)
 
-    def map_coeffs(self, fn):
-        return MultiPoly(self.domain, self.vars, {e: fn(c) for e, c in self.terms.items()})
+    def map_coeffs(self, fn, domain=None):
+        """fn applied to every coefficient; domain is the result's, when fn
+        maps into another one."""
+        return MultiPoly(self.domain if domain is None else domain, self.vars,
+                         {e: fn(c) for e, c in self.terms.items()})
 
     def coeff_in(self, name, k):
         """Coefficient of name^k, a polynomial in the remaining exponents."""
@@ -464,6 +467,8 @@ class RatFunc:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if other is None:
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __str__(self):
@@ -684,6 +689,24 @@ class Relation:
 
     def __repr__(self):
         return f"<relation {self.poly} monic in {self.var}>"
+
+
+def restrict_to_field(chart, polys):
+    """The chart and polys over F_q, for a chart over K = F_q(t) whose
+    relations and polys have only coefficients constant in t; else None.
+
+    Results come back to K coefficient-wise, f.map_coeffs(K.from_field, K).
+    """
+    K = chart.domain
+    if not isinstance(K, FunField) or not all(
+        c.is_constant()
+        for f in (*(rel.poly for rel in chart.relations), *polys)
+        for c in f.terms.values()
+    ):
+        return None
+    down = lambda f: f.map_coeffs(RatFunc.constant_value, K.field)
+    rels = [(down(rel.poly), rel.var) for rel in chart.relations]
+    return ChartAlgebra(K.field, chart.vars, rels), [down(f) for f in polys]
 
 
 class ChartAlgebra:

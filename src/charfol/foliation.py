@@ -5,9 +5,13 @@ stores one image polynomial per chart variable, and is only accepted when it
 preserves the relation ideal. On top of that sit the p-th power, the rank-1
 p-closedness certificate, 1-form kernels, the ring of constants up to a
 degree bound, and a checked presentation of the degree-p quotient.
+
+The ring of constants applies D to monomials by the Leibniz rule, from the
+images D(x_i). When the chart and D have only coefficients constant in t,
+the factorization runs on F_q scalars and extends its results back to K.
 """
 
-from .algebra import MultiPoly, ChartAlgebra, Relation
+from .algebra import MultiPoly, ChartAlgebra, Relation, restrict_to_field
 from .differentials import _elimination, reduce_form
 from ._linalg import SpanTracker, kernel_basis, solve_span
 
@@ -251,21 +255,49 @@ def ring_of_constants(D, max_total=None):
     """Basis of {f reduced, deg <= bound : D(f) = 0}, ascending leading terms.
 
     Default bound is 3p, enough to see x^p for every variable of a chart
-    whose designated degrees stay below 2p.
+    whose designated degrees stay below 2p. The image of a monomial comes
+    from the images D(x_i) by the Leibniz rule,
+    D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each D(x_i),
+    scaled by e_i mod p and shifted by e - 1_i. Only a sum with an exponent
+    at or above a relation's degree is put in normal form.
     """
     chart = D.chart
-    bound = 3 * chart.domain.p if max_total is None else max_total
+    domain = chart.domain
+    p = domain.p
+    bound = 3 * p if max_total is None else max_total
     monos = chart.reduced_monomials(bound)
+    degrees = [(rel.index, rel.degree) for rel in chart.relations]
+    images = [g.terms for g in D.coeffs]
+    scaled = {}  # (i, k) -> the terms of k * D(x_i)
     vectors = []
     for e in monos:
-        m = MultiPoly(chart.domain, chart.vars, {e: chart.domain.one()})
-        vectors.append(D._apply_reduced(m).terms)
+        terms = {}
+        for i, k in enumerate(e):
+            r = k % p
+            if not r:
+                continue
+            img = scaled.get((i, r))
+            if img is None:
+                c = domain.from_int(r)
+                img = scaled[i, r] = [(f, a * c) for f, a in images[i].items()]
+            base = e[:i] + (k - 1,) + e[i + 1 :]
+            for f, a in img:
+                e2 = tuple(x + y for x, y in zip(base, f))
+                s = terms.get(e2)
+                s = a if s is None else s + a
+                if s:
+                    terms[e2] = s
+                elif e2 in terms:
+                    del terms[e2]
+        if any(e2[i] >= d for e2 in terms for i, d in degrees):
+            terms = chart.nf(MultiPoly(domain, chart.vars, terms)).terms
+        vectors.append(terms)
     out = []
     for rel in kernel_basis(vectors):
         # kernel_basis gives the dependent vector itself the int 1
-        terms = {monos[i]: chart.domain.from_int(c) if isinstance(c, int) else c
+        terms = {monos[i]: domain.from_int(c) if isinstance(c, int) else c
                  for i, c in rel.items()}
-        out.append(MultiPoly(chart.domain, chart.vars, terms))
+        out.append(MultiPoly(domain, chart.vars, terms))
     return out
 
 
@@ -360,7 +392,18 @@ def frobenius_factorization_check(D):
     else: whether the constants are generated, the relations (one per
     dependent product) and the x^p certificates. Raises DegreeBoundTooSmall
     when some x^p is not in that span.
+
+    When the chart and D are constant in t, all of this runs over F_q
+    (restrict_to_field) and the results are extended back to K.
     """
+    source = D.chart
+    restricted = restrict_to_field(source, D.coeffs)
+    if restricted is None:
+        extend = lambda f: f
+    else:
+        K = source.domain
+        extend = lambda f: f.map_coeffs(K.from_field, K)
+        D = Derivation(*restricted)
     chart = D.chart
     p = chart.domain.p
     one = chart.domain.one()
@@ -412,13 +455,17 @@ def frobenius_factorization_check(D):
         certs[v] = MultiPoly(chart.domain, names, combo)
 
     quotient = _chart_from_relations(chart, names, relations)
+    if quotient is not None and restricted is not None:
+        quotient = ChartAlgebra(
+            source.domain, names, [(extend(r.poly), r.var) for r in quotient.relations]
+        )
 
     return FactorizationReport(
-        chart,
-        list(zip(names, gens)),
+        source,
+        [(n, extend(g)) for n, g in zip(names, gens)],
         quotient,
-        relations,
-        certs,
+        [extend(r) for r in relations],
+        {v: extend(c) for v, c in certs.items()},
         generated,
         bound,
     )

@@ -68,6 +68,17 @@ def test_ratfunc_reduction_and_derivative():
     assert (t**3).derivative().is_zero()
 
 
+def test_ratfunc_equality_with_foreign_objects_is_false():
+    # like FieldElement: no exception, just unequal
+    one = K.one()
+    assert not one == None  # noqa: E711
+    assert one != None  # noqa: E711
+    assert one != "1"
+    assert one != 1.0
+    assert one == 1
+    assert one == F3.one()
+
+
 def test_ratfunc_random_field_axioms():
     rng = random.Random(5)
     for _ in range(40):

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from charfol import adelic, cli, descent, foliation
+from charfol import _linalg, adelic, cli, descent, foliation
 
 
 def run(argv):
@@ -212,6 +212,9 @@ GOLDEN = [
      "87ef76821a10a769628bb2295d43636e35f441dcace853ba405ba2a0c9388022"),
     ("star-check --p 3 --d 2 --q 729 --json",
      "e82bbb25b84a3782917b80f18cf262d840f86d215d6df4a5e9c63caf2598f791"),
+    # a factorization degree bound (137) above 3p
+    ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
+     "f7798f6ad21232a9578b3e5f10a8d569906bd5ac2cfe721077a5a5e48c2286ad"),
 ]
 
 
@@ -222,7 +225,10 @@ def test_golden_report_digests(argv, digest):
 
 
 def test_pipeline_descends_and_factors_once(monkeypatch):
-    calls = {"descend_algebra": 0, "frobenius_factorization_check": 0}
+    # the t-free factorization runs over F_q inside the one call, so the
+    # constants are computed and spanned once too
+    calls = {"descend_algebra": 0, "frobenius_factorization_check": 0,
+             "ring_of_constants": 0, "kernel_basis": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -230,14 +236,15 @@ def test_pipeline_descends_and_factors_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # every module that binds either function gets the counting wrapper
-    for module in (adelic, cli, descent, foliation):
+    # every module that binds one of these functions gets the counting wrapper
+    for module in (adelic, cli, descent, foliation, _linalg):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, _ = run(["pipeline", "--p", "3", "--d", "2", "--trials", "5", "--json"])
     assert code in (0, 1)
-    assert calls == {"descend_algebra": 1, "frobenius_factorization_check": 1}
+    assert calls == {"descend_algebra": 1, "frobenius_factorization_check": 1,
+                     "ring_of_constants": 1, "kernel_basis": 1}
 
 
 def test_pipeline_has_no_jobs_flag():

@@ -7,6 +7,7 @@ import pytest
 from charfol import gf
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, parse_poly
 from charfol.differentials import OneForm
+from charfol._linalg import kernel_basis
 from charfol.foliation import (
     Derivation,
     bracket,
@@ -171,6 +172,41 @@ def test_factorization_finds_quotient_relation():
     assert rels == ["x^3 + 2*z^2"]
 
 
+def _t_plane_derivation():
+    C = ChartAlgebra(K, ("x", "y"), [])
+    return Derivation(C, [C.poly("t*y"), C.one()])
+
+
+def _kernel_of_d(rel, var):
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(K, vars, [(parse_poly(rel, vars, K), "z")])
+    return kernel_of_form(OneForm.d(C, C.var(var)))
+
+
+# every case depends on t, so ring_of_constants runs over K
+@pytest.mark.parametrize("make", [
+    # a coefficient of D depends on t
+    _t_plane_derivation,
+    # a relation of degree 3 that depends on t; D = d/dy
+    lambda: _kernel_of_d("z^3 - t^3*y^3 - t*x", "z"),
+    # D = (2/t)*z*d/dx + d/dz: shifted exponents reach z^2, so images need nf
+    lambda: _kernel_of_d("z^2 - y^3 - t*x", "y"),
+], ids=["t*y*d/dx + d/dy", "z^3 - t^3*y^3 - t*x", "z^2 - y^3 - t*x"])
+def test_ring_of_constants_matches_applying_D_to_each_monomial(make):
+    D = make()
+    C = D.chart
+    bound = 9
+    monos = C.reduced_monomials(bound)
+    vectors = [D.apply(MultiPoly(K, C.vars, {e: K.one()})).terms for e in monos]
+    want = [
+        MultiPoly(K, C.vars, {monos[i]: K.from_int(c) if isinstance(c, int) else c
+                              for i, c in rel.items()})
+        for rel in kernel_basis(vectors)
+    ]
+    assert len(want) > 1
+    assert ring_of_constants(D, bound) == want
+
+
 def test_scaled_kernel_still_pairs_to_zero():
     C = raynaud_chart(5, 2, FunField(gf.Field(5)))
     dz = OneForm.d(C, C.var("z"))
@@ -217,29 +253,35 @@ def test_factorization_builds_one_span_per_closure_round(monkeypatch):
     assert len(trackers) == 1 + rounds
 
 
-def _zero_derivation(p, vars, rel):
-    K = FunField(gf.Field(p))
+def _zero_derivation(p, e, vars, rel):
+    K = FunField(gf.Field(p, e))
     C = ChartAlgebra(K, vars, [(parse_poly(rel, vars, K), "z")])
     return Derivation(C, [C.zero()] * len(vars))
 
 
 # FactorizationReport.to_json() digests for zero derivations, whose constants
 # are the whole chart, so every chart relation comes back as generator
-# relations; recorded before relations were read off the closure's tracker
+# relations; recorded before relations were read off the closure's tracker.
+# Over F_9 and F_25 the certificates print constants of K as ((u+2)), which
+# a factorization over F_q that is not extended back to K would print (u+2)
 FACTORIZATION_GOLDEN = [
-    (3, ("x", "z"), "z^2 - x^3", 5,
+    (3, 1, ("x", "z"), "z^2 - x^3", 5,
      "27d03b3747bbb74cd23ea0f2eeabc0d8a2af854a95c7ec4fc92a4f89938e9505"),
-    (3, ("x", "y", "z"), "z^2 - y^3 - x", 25,
+    (3, 1, ("x", "y", "z"), "z^2 - y^3 - x", 25,
      "fd2d830b000840cc2d9b5d741033071ec151ad2b26fb98e56e06bb285dd75cdc"),
-    (5, ("x", "z"), "z^3 - x^2 - t^5*x", 14,
+    (5, 1, ("x", "z"), "z^3 - x^2 - t^5*x", 14,
      "a623863cbef40ae5813393bc0072425efd4b3283ed37b0a63c33e23be3462de8"),
+    (3, 2, ("x", "z"), "z^2 - (u+1)*x^3 - x", 5,
+     "6dd0e3752d617b158f14d7c84cc3ed277a237f8a85d99a2976aefbd2e7c01dcb"),
+    (5, 2, ("x", "z"), "z^3 - (u+2)*x^2 - x", 14,
+     "0d48879f2057bbc831ab4115f44a6d00772b3749220f99d558f5627451b6f5ab"),
 ]
 
 
-@pytest.mark.parametrize("p,vars,rel,n_relations,digest", FACTORIZATION_GOLDEN,
-                         ids=[g[2] for g in FACTORIZATION_GOLDEN])
-def test_factorization_report_digests(p, vars, rel, n_relations, digest):
-    rep = frobenius_factorization_check(_zero_derivation(p, vars, rel))
+@pytest.mark.parametrize("p,e,vars,rel,n_relations,digest", FACTORIZATION_GOLDEN,
+                         ids=[g[3] for g in FACTORIZATION_GOLDEN])
+def test_factorization_report_digests(p, e, vars, rel, n_relations, digest):
+    rep = frobenius_factorization_check(_zero_derivation(p, e, vars, rel))
     assert len(rep.relations) == n_relations
     for r in rep.relations:
         assert rep.quotient is None or rep.quotient.nf(r).is_zero()
