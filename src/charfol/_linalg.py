@@ -35,13 +35,13 @@ class SpanTracker:
         self.pos = {}  # pivot -> index into rows
         self.cols = {}  # label -> set of indices of the rows holding it
 
-    def reduce(self, vec, combo=None):
+    def reduce(self, vec):
         """Residual of vec modulo the rows.
 
         Invariant: vec = residual + sum(combo[k] * original_k).
         """
         v = dict(vec)
-        c = {} if combo is None else dict(combo)
+        c = {}
         pos = self.pos
         rows = self.rows
         for i in sorted(pos[k] for k in vec if k in pos):

@@ -13,7 +13,7 @@ import random
 
 from . import gf
 from .algebra import MultiPoly, FunField, restrict_to_field
-from .series import LaurentSeries, NotSimpleRoot, newton
+from .series import LaurentSeries, NotSimpleRoot, evaluate, newton
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
 from .foliation import _generator_monomials, frobenius_factorization_check
@@ -46,12 +46,6 @@ def _base_field(chart):
     return chart.domain.field if isinstance(chart.domain, FunField) else chart.domain
 
 
-def _converter(chart, prec):
-    if isinstance(chart.domain, FunField):
-        return lambda c: LaurentSeries.from_ratfunc(c, prec)
-    return lambda c: LaurentSeries.constant(chart.domain, c, prec)
-
-
 class LocalPoint:
     __slots__ = ("chart", "coords", "prec")
 
@@ -72,20 +66,16 @@ class LocalPoint:
 
 
 def make_point(chart, coords, N=64):
-    """Certify that the coordinates satisfy every chart relation up to N."""
-    field = _base_field(chart)
+    """Certify that the series coordinates satisfy every chart relation up
+    to N."""
     clean = {}
     for v in chart.vars:
         if v not in coords:
             raise KeyError(f"no value for coordinate {v}")
-        s = coords[v]
-        if not isinstance(s, LaurentSeries):
-            s = LaurentSeries.constant(field, s, N)
-        clean[v] = s
+        clean[v] = coords[v]
     prec = min([N] + [s.prec for s in clean.values()])
-    conv = _converter(chart, prec)
     for j, rel in enumerate(chart.relations):
-        residual = rel.poly.evaluate(clean, conv)
+        residual = evaluate(rel.poly, clean, prec)
         horizon = min(prec, residual.prec)
         if residual.nonzero_before(horizon):
             val = residual.val()
@@ -108,41 +98,33 @@ def solve_coordinate(chart, coords, name, N=64, initial=None):
         raise ValueError(f"{name} is not a designated relation variable")
     field = _base_field(chart)
     fixed = {v: s for v, s in coords.items() if v != name}
-
-    def evaluate(G, w, k):
-        a = {v: s.truncate(k) for v, s in fixed.items()}
-        a[name] = w
-        return G.evaluate(a, _converter(chart, k))
-
     F = rel.poly
-    Fw = F.partial(name)
     if initial is None:
+        Fw = F.partial(name)
         for a in field.elements():
-            w0 = LaurentSeries.constant(field, a, 1)
-            r0, d0 = (evaluate(G, w0, N) for G in (F, Fw))
-            if not r0.nonzero_before(1) and d0.nonzero_before(1):
+            guess = {**fixed, name: LaurentSeries.constant(field, a, 1)}
+            if (not evaluate(F, guess, N).nonzero_before(1)
+                    and evaluate(Fw, guess, N).nonzero_before(1)):
                 initial = a
                 break
         if initial is None:
             raise NotSimpleRoot(f"no simple starting residue for {name} over F_{field.q}")
-    full = dict(fixed)
-    full[name] = newton(evaluate, F, Fw, LaurentSeries.constant(field, initial, 1), N)
-    return full
+    w0 = LaurentSeries.constant(field, initial, 1)
+    return {**fixed, name: newton(F, name, fixed, w0, N)}
 
 
 def pullback_form(point, form):
     """Coefficient of dt in the pullback: sum a_i(x(t)) x_i'(t) + a_t(x(t))."""
     if form.chart != point.chart:
         raise TypeError("form and point live on different charts")
-    conv = _converter(point.chart, point.prec)
     out = None
     for v, a in zip(point.chart.vars, form.comps):
         if a.is_zero():
             continue
-        term = a.evaluate(point.coords, conv) * point.coords[v].derivative()
+        term = evaluate(a, point.coords, point.prec) * point.coords[v].derivative()
         out = term if out is None else out + term
     if form.t_comp is not None and not form.t_comp.is_zero():
-        term = form.t_comp.evaluate(point.coords, conv)
+        term = evaluate(form.t_comp, point.coords, point.prec)
         out = term if out is None else out + term
     if out is None:
         out = LaurentSeries.zero(_base_field(point.chart), point.prec)
@@ -197,11 +179,10 @@ def _require_t_free(poly, what):
         raise NoStarBound(f"{what} has a coefficient that is not constant in t")
 
 
-def star_condition(point, sections, horizon=None):
-    """True when some section pulls back to a series nonzero before horizon
-    (default: half the working precision)."""
-    if horizon is None:
-        horizon = point.prec // 2
+def star_condition(point, sections):
+    """True when some section pulls back to a series nonzero before half the
+    working precision."""
+    horizon = point.prec // 2
     for w in sections:
         pb = pullback_form(point, w)
         if pb.nonzero_before(min(horizon, pb.prec)):
@@ -274,8 +255,9 @@ def lift_point(point, pres):
     Triangular passes: an equation becomes usable once it has exactly one
     term containing exactly one undetermined source variable, raised to a
     power p^j; that variable is then solved by division and j p-th roots.
-    Source variables never pinned down default to 0, and every equation is
-    re-verified at half precision before the lift is returned.
+    An equation with no undetermined variable left is set aside. Source
+    variables never pinned down default to 0, and every equation is
+    verified at half precision before the lift is returned.
     """
     if point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
@@ -284,20 +266,11 @@ def lift_point(point, pres):
     field = _base_field(source)
     N = point.prec
     half = N // 2
-    conv_cache = {}
-
-    def conv(prec):
-        if prec not in conv_cache:
-            conv_cache[prec] = _converter(source, prec)
-        return conv_cache[prec]
-
-    def eval_terms(terms, assigned, prec):
-        poly = MultiPoly(source.domain, source.vars, terms)
-        if not terms:
-            return LaurentSeries.zero(field, prec)
-        return poly.evaluate(assigned, conv(prec))
-
     assigned = {}
+
+    def eval_terms(terms):
+        return evaluate(MultiPoly(source.domain, source.vars, terms), assigned, N)
+
     pending = [(v, pres.images[v], point.coords[v]) for v in pres.target.vars]
     while pending:
         progress = False
@@ -314,10 +287,6 @@ def lift_point(point, pres):
                 else:
                     closed[e] = c
             if not open_terms:
-                val = eval_terms(closed, assigned, N)
-                diff = val - rhs
-                if diff.nonzero_before(min(half, diff.prec)):
-                    raise NoLift(v, "inconsistent with already determined coordinates")
                 pending.remove(item)
                 progress = True
                 continue
@@ -329,10 +298,10 @@ def lift_point(point, pres):
             if j is None:
                 continue  # another equation may pin svar down first
             factor_terms = {e[:ui] + (0,) + e[ui + 1 :]: c}
-            factor = eval_terms(factor_terms, assigned, N)
+            factor = eval_terms(factor_terms)
             if factor.is_zero():
                 continue
-            rest = rhs - eval_terms(closed, assigned, N)
+            rest = rhs - eval_terms(closed)
             val = rest / factor
             for _ in range(j):
                 root = val.pth_root()
@@ -351,7 +320,7 @@ def lift_point(point, pres):
             assigned[s] = LaurentSeries.zero(field, N)
     prec = min([N] + [s.prec for s in assigned.values()])
     for v in pres.target.vars:
-        val = pres.images[v].evaluate(assigned, conv(prec))
+        val = evaluate(pres.images[v], assigned, prec)
         diff = val - point.coords[v]
         if diff.nonzero_before(min(half, diff.prec)):
             raise NoLift(v, "lift verification failed")
@@ -415,7 +384,13 @@ def random_local_point(chart, rng, N=64):
     field = _base_field(chart)
     solve_var, rel = _linear_unit_var(chart)
     newton_var = None
-    if solve_var is None and chart.relations:
+    if solve_var is not None:
+        # solve_var = rest(other coordinates), rel divided by -(its coefficient)
+        i = chart.vars.index(solve_var)
+        scale = -(rel.poly.coeff_in(solve_var, 1).constant_value().inverse())
+        rest = MultiPoly(chart.domain, chart.vars,
+                         {e: c * scale for e, c in rel.poly.terms.items() if not e[i]})
+    elif chart.relations:
         if len(chart.relations) > 1:
             raise UnsupportedPresentation("random points need at most one relation")
         newton_var = chart.relations[0].var
@@ -426,19 +401,7 @@ def random_local_point(chart, rng, N=64):
                 continue
             coords[v] = _random_free_series(field, rng, N, rng.random() < 0.5)
         if solve_var is not None:
-            c = rel.poly.coeff_in(solve_var, 1).constant_value()
-            rest = MultiPoly(
-                chart.domain,
-                chart.vars,
-                {
-                    e: cc
-                    for e, cc in rel.poly.terms.items()
-                    if e[chart.vars.index(solve_var)] == 0
-                },
-            )
-            conv = _converter(chart, N)
-            val = rest.evaluate({**coords, solve_var: LaurentSeries.zero(field, N)}, conv)
-            coords[solve_var] = val * conv(-(c.inverse()))
+            coords[solve_var] = evaluate(rest, coords, N)
         elif newton_var is not None:
             try:
                 coords = solve_coordinate(chart, coords, newton_var, N)

@@ -196,15 +196,13 @@ class MultiPoly:
                 terms[e[:i] + (0,) + e[i + 1 :]] = c
         return MultiPoly(self.domain, self.vars, terms)
 
-    def evaluate(self, assignment, convert=None):
+    def evaluate(self, assignment, convert):
         """Substitute values for every variable.
 
         assignment: dict var name -> value in a ring V closed under + and *.
-        convert: coefficient -> V (identity when omitted). Returns a V element;
-        the zero polynomial returns convert(0).
+        convert: coefficient -> V. Returns a V element; the zero polynomial
+        returns convert(0).
         """
-        if convert is None:
-            convert = lambda c: c
         cache = {v: {} for v in self.vars}
 
         def vpow(v, k):
@@ -719,12 +717,8 @@ class ChartAlgebra:
         self.vars = tuple(vars)
         rels = []
         seen = set()
-        for item in relations:
-            if isinstance(item, Relation):
-                rel = item
-            else:
-                poly, var = item
-                rel = Relation(poly, var)
+        for poly, var in relations:
+            rel = Relation(poly, var)
             if rel.poly.vars != self.vars:
                 raise ValueError("relation variables do not match the chart")
             if rel.var in seen:

@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -21,7 +22,7 @@ from .algebra import ChartAlgebra, FunField, parse_poly
 from .differentials import OneForm, reduce_form
 from .descent import NoDescent, descend_algebra
 from .foliation import Derivation, is_p_closed_rank1, kernel_of_form, p_power, pairing
-from .series import DivisionByZeroSeries, PrecisionExhausted
+from .series import DivisionByZeroSeries, PrecisionExhausted, evaluate
 from .adelic import (
     descend_and_factor,
     min_star_precision,
@@ -186,9 +187,10 @@ def _ledger_section(rep, prefix, data):
                 lhs=c["lhs"], rhs=c["rhs"])
 
 
-def cmd_raynaud_ledger(p, d, degN=None):
-    if degN is None:
-        degN = _default_degn(p, d)
+def cmd_raynaud_ledger(p, d):
+    if d < 2:
+        raise ValueError("need d >= 2: for d = 1 the model is rational")
+    degN = _default_degn(p, d)
     rep = RunReport("raynaud-ledger", {"p": p, "d": d, "degN": degN})
     try:
         ruled = raynaud.verify_ruled_formulas(p, d, degN)
@@ -312,23 +314,30 @@ def cmd_descend(poly, q=3):
     return rep
 
 
+def _star_horizon_reached(rep, chart, sections, precision):
+    """False, after adding an inconclusive star-horizon check, when the star
+    horizon (half the precision) ends before terms a nonzero pullback of the
+    sections can have along sampled points: a zero there proves nothing."""
+    need = min_star_precision(chart, sections)
+    if precision >= need:
+        return True
+    rep.add("star-horizon", INCONCLUSIVE,
+            reason=f"the star horizon {precision // 2} (half the precision) "
+                   f"ends before terms a nonzero pullback can have along "
+                   f"the sampled points; use precision >= {need}",
+            precision=precision, min_precision=need)
+    return False
+
+
 def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
                    precision=64):
     rep = RunReport("star-check", {"p": p, "d": d, "chart": chart, "q": q,
                                    "trials": trials, "seed": seed,
                                    "precision": precision})
-    import random as _random
-    from .adelic import _converter
     ch, _D, sections = preset_chart(chart, p, d, q)
-    need = min_star_precision(ch, sections)
-    if precision < need:
-        rep.add("star-horizon", INCONCLUSIVE,
-                reason=f"the star horizon {precision // 2} (half the precision) "
-                       f"ends before terms a nonzero pullback can have along "
-                       f"the sampled points; use precision >= {need}",
-                precision=precision, min_precision=need)
+    if not _star_horizon_reached(rep, ch, sections, precision):
         return rep
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     stars = 0
     chain_ok = True
     # chain rule witness: pulling back d(g) must give d/dt of g along the point
@@ -339,11 +348,11 @@ def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
         if star_condition(pt, sections):
             stars += 1
         lhs = pullback_form(pt, dg)
-        conv_prec = min(s.prec for s in pt.coords.values())
-        rhs = g.evaluate(pt.coords, _converter(ch, conv_prec)).derivative()
+        rhs = evaluate(g, pt.coords, pt.prec).derivative()
         if (lhs - rhs).nonzero_before(min(precision // 2, lhs.prec, rhs.prec)):
             chain_ok = False
-    rep.add("pullbacks-evaluated", PASS, star_true=stars,
+    # zero trials count nothing: no verdict
+    rep.add("pullbacks-evaluated", PASS if trials else INCONCLUSIVE, star_true=stars,
             star_false=trials - stars,
             sections=[str(w) for w in sections])
     rep.add("chain-rule-spot-check", PASS if chain_ok else FAIL, trials=trials)
@@ -360,6 +369,8 @@ def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
                                     "precision": precision,
                                     "assert_generated": assert_generated})
     ch, D, sections = built or preset_chart(chart, p, d, q)
+    if not _star_horizon_reached(rep, ch, sections, precision):
+        return rep
     data = verify_equivalence(descended or descend_and_factor(ch, D), sections,
                               trials=trials, seed=seed,
                               N=precision, assert_generated=assert_generated,
@@ -386,12 +397,11 @@ def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
     return rep
 
 
-def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
-                 verbose=False):
+def cmd_pipeline(p, d, seed=0, trials=200, precision=64, q=None, verbose=False):
     """The chain curve -> ledger -> chart, D and sections -> foliation ->
     descent and factorization -> quotient -> equivalence; each stage result
     is built once and handed to the stages after it."""
-    rep = RunReport("pipeline", {"p": p, "d": d, "degN": degN, "seed": seed,
+    rep = RunReport("pipeline", {"p": p, "d": d, "degN": None, "seed": seed,
                                  "trials": trials, "precision": precision,
                                  "q": q})
     ok = True
@@ -413,12 +423,10 @@ def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
         rep.add("preflight/d-divides-p-plus-1", PASS, p=p, d=d)
     if not ok:
         return rep
-    if degN is None:
-        degN = _default_degn(p, d)
-    rep.parameters["degN"] = degN
+    rep.parameters["degN"] = _default_degn(p, d)
 
     rep.extend("tango", cmd_tango_verify(p, d, q=q))
-    rep.extend("lattice", cmd_raynaud_ledger(p, d, degN=degN))
+    rep.extend("lattice", cmd_raynaud_ledger(p, d))
     if rep.status == FAIL:
         return rep
 
@@ -459,16 +467,18 @@ def cmd_pipeline(p, d, degN=None, seed=0, trials=200, precision=64, q=None,
 # argument plumbing
 
 
-def _precision(text):
-    """argparse type of --precision: an int of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < 1:
-        raise argparse.ArgumentTypeError(
-            f"precision must be an integer of at least 1, got {text!r}")
-    return n
+def _int_at_least(least, what):
+    """argparse type: an int of at least least."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer of at least {least}, got {text!r}")
+        return n
+    return parse
 
 
 def _add_common(sp, *names):
@@ -476,17 +486,15 @@ def _add_common(sp, *names):
         sp.add_argument("--p", type=int, required=True)
     if "d" in names:
         sp.add_argument("--d", type=int, required=True)
-    if "degN" in names:
-        sp.add_argument("--degN", type=int, default=None)
     if "q" in names:
         sp.add_argument("--q", type=int, default=None)
     if "chart" in names:
         sp.add_argument("--chart", default="raynaud-local",
                         choices=["raynaud-local", "affine-plane"])
     if "precision" in names:
-        sp.add_argument("--precision", type=_precision, default=64)
+        sp.add_argument("--precision", type=_int_at_least(1, "precision"), default=64)
     if "trials" in names:
-        sp.add_argument("--trials", type=int, default=200)
+        sp.add_argument("--trials", type=_int_at_least(0, "trials"), default=200)
     if "seed" in names:
         sp.add_argument("--seed", type=int, default=0)
     if "verbose" in names:
@@ -500,11 +508,11 @@ def build_parser():
 
     sp = sub.add_parser("tango-verify", help="curve structure and ord of dx")
     _add_common(sp, "p", "d", "q")
-    sp.add_argument("--precision", type=_precision, default=None,
+    sp.add_argument("--precision", type=_int_at_least(1, "precision"), default=None,
                     help="series precision; default is the curve's own bound")
 
     sp = sub.add_parser("raynaud-ledger", help="exact intersection ledger")
-    _add_common(sp, "p", "d", "degN")
+    _add_common(sp, "p", "d")
 
     sp = sub.add_parser("foliation", help="kernel derivation and p-closure")
     _add_common(sp, "p", "d", "chart", "q")
@@ -527,8 +535,7 @@ def build_parser():
                     action="store_true")
 
     sp = sub.add_parser("pipeline", help="full chain for one (p, d)")
-    _add_common(sp, "p", "d", "degN", "q", "precision", "trials", "seed",
-                "verbose")
+    _add_common(sp, "p", "d", "q", "precision", "trials", "seed", "verbose")
     return ap
 
 

@@ -7,7 +7,7 @@ cross-path uniqueness checks built in.
 """
 
 from . import gf
-from .algebra import MultiPoly, RatFunc, FunField, ChartAlgebra, Relation
+from .algebra import MultiPoly, RatFunc, FunField, ChartAlgebra
 
 
 class NotAPthPower(ValueError):

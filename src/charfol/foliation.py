@@ -11,7 +11,7 @@ images D(x_i). When the chart and D have only coefficients constant in t,
 the factorization runs on F_q scalars and extends its results back to K.
 """
 
-from .algebra import MultiPoly, ChartAlgebra, Relation, restrict_to_field
+from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
 from .differentials import _elimination, reduce_form
 from ._linalg import SpanTracker, kernel_basis, solve_span
 
@@ -37,9 +37,6 @@ class Derivation:
                     f"derivation does not preserve relation {j}: {rel.poly}"
                 )
 
-    def coeff(self, name):
-        return self.coeffs[self.chart.vars.index(name)]
-
     def _apply_reduced(self, f):
         out = self.chart.zero()
         for g, v in zip(self.coeffs, self.chart.vars):
@@ -49,27 +46,6 @@ class Derivation:
 
     def apply(self, f):
         return self._apply_reduced(self.chart.nf(f))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def scale(self, g):
-        if not isinstance(g, MultiPoly):
-            g = self.chart.constant(g)
-        return Derivation(self.chart, [c * g for c in self.coeffs])
-
-    def __rmul__(self, g):
-        return self.scale(g)
-
-    def __add__(self, other):
-        if not isinstance(other, Derivation) or other.chart != self.chart:
-            raise TypeError("derivations on different charts")
-        return Derivation(self.chart, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.chart == other.chart and self.coeffs == other.coeffs
 
     def __str__(self):
         parts = []
@@ -251,21 +227,19 @@ def kernel_of_form(form):
     return Derivation(chart, imgs)
 
 
-def ring_of_constants(D, max_total=None):
-    """Basis of {f reduced, deg <= bound : D(f) = 0}, ascending leading terms.
+def ring_of_constants(D, max_total):
+    """Basis of {f reduced, deg <= max_total : D(f) = 0}, ascending leading
+    terms.
 
-    Default bound is 3p, enough to see x^p for every variable of a chart
-    whose designated degrees stay below 2p. The image of a monomial comes
-    from the images D(x_i) by the Leibniz rule,
-    D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each D(x_i),
+    The image of a monomial comes from the images D(x_i) by the Leibniz
+    rule, D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each D(x_i),
     scaled by e_i mod p and shifted by e - 1_i. Only a sum with an exponent
     at or above a relation's degree is put in normal form.
     """
     chart = D.chart
     domain = chart.domain
     p = domain.p
-    bound = 3 * p if max_total is None else max_total
-    monos = chart.reduced_monomials(bound)
+    monos = chart.reduced_monomials(max_total)
     degrees = [(rel.index, rel.degree) for rel in chart.relations]
     images = [g.terms for g in D.coeffs]
     scaled = {}  # (i, k) -> the terms of k * D(x_i)

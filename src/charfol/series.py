@@ -7,11 +7,12 @@ multiply in time set by their lengths, not by the precision. Over prime
 fields it packs coefficients into one big integer (Kronecker substitution)
 so a single native multiply does the convolution. A monomial c*t^v inverts
 exactly; longer series invert by Newton iteration, and newton solves
-polynomial equations the same way.
+polynomial equations the same way. evaluate is the one substitution of
+series into a polynomial over F_q or F_q(t).
 """
 
 from . import gf
-from .algebra import MultiPoly
+from .algebra import FunField
 
 
 class DivisionByZeroSeries(ZeroDivisionError):
@@ -348,21 +349,39 @@ class LaurentSeries:
         return f"<series {self}>"
 
 
-def newton(evaluate, F, Fw, w, N):
-    """Refine w, a simple root of F known to precision 1, to precision N.
+def evaluate(poly, coords, prec):
+    """poly, over F_q or F_q(t), at the series coords: each coefficient
+    becomes a series to precision prec (from_ratfunc over F_q(t), a constant
+    over F_q). The zero polynomial gives the zero series."""
+    domain = poly.domain
+    if isinstance(domain, FunField):
+        return poly.evaluate(coords, lambda c: LaurentSeries.from_ratfunc(c, prec))
+    return poly.evaluate(coords, lambda c: LaurentSeries.constant(domain, c, prec))
 
-    evaluate(G, w, k) substitutes the series w into the polynomial G (F or
-    its derivative Fw in the unknown), every other input known to precision
-    k. Each step doubles the precision (R. P. Brent and H. T. Kung, J. ACM
-    25, 1978); the result is verified by substitution before returning.
+
+def newton(F, name, coords, w, N):
+    """Refine w, a simple root of F in the variable name known to precision
+    1, to precision N.
+
+    coords gives the series of every other variable of F; each step
+    substitutes them truncated to its precision. Each step doubles the
+    precision (R. P. Brent and H. T. Kung, J. ACM 25, 1978); the result is
+    verified by substitution before returning.
     """
+    Fw = F.partial(name)
+
+    def at(G, w, k):
+        a = {v: s.truncate(k) for v, s in coords.items()}
+        a[name] = w
+        return evaluate(G, a, k)
+
     k = 1
     while k < N:
         k = min(2 * k, N)
         wk = w._with_prec(k)
-        w = (wk - evaluate(F, wk, k) / evaluate(Fw, wk, k)).truncate(k)
+        w = (wk - at(F, wk, k) / at(Fw, wk, k)).truncate(k)
     w = w._with_prec(N)
-    if evaluate(F, w, N).nonzero_before(N):
+    if at(F, w, N).nonzero_before(N):
         raise RuntimeError("Newton solution failed the substitution check")
     return w
 
@@ -380,18 +399,10 @@ def implicit_series(F, N):
     zero2 = (0, 0)
     if F.terms.get(zero2):
         raise NotSimpleRoot("F(0,0) != 0: no branch through the origin")
-    Fw = F.partial(wname)
-    c = Fw.terms.get(zero2, field.zero())
-    if not c:
+    if not F.partial(wname).terms.get(zero2):
         raise NotSimpleRoot("dF/dw vanishes at the origin: root is not simple")
-
-    def evaluate(G, w, k):
-        v = LaurentSeries.t_power(field, 1, k + 1)
-        return G.evaluate(
-            {vname: v, wname: w}, lambda cc: LaurentSeries.constant(field, cc, k)
-        )
-
-    return newton(evaluate, F, Fw, LaurentSeries.zero(field, 1), N)
+    v = LaurentSeries.t_power(field, 1, N)
+    return newton(F, wname, {vname: v}, LaurentSeries.zero(field, 1), N)
 
 
 def ord_of_differential(x):

@@ -8,7 +8,7 @@ from charfol import gf
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
 from charfol.foliation import Derivation, kernel_of_form
-from charfol.series import LaurentSeries
+from charfol.series import LaurentSeries, evaluate
 from charfol.adelic import (
     LocalPoint,
     NoLift,
@@ -52,6 +52,23 @@ def test_make_point_by_hensel():
     assert pt.coord("y").coeff(5) == F3.from_int(2)
 
 
+def test_random_local_point_completes_by_newton():
+    # no variable of z^2 = y^3 + x^3 appears linearly, so z is completed by
+    # Newton from a simple residue
+    F5 = gf.Field(5)
+    K5 = FunField(F5)
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(K5, vars, [(parse_poly("z^2 - y^3 - x^3", vars, K5), "z")])
+    rng = random.Random(3)
+    for _ in range(10):
+        pt = random_local_point(C, rng, 32)
+        z = pt.coord("z")
+        assert pt.prec == 32 and z.prec == 32
+        assert z.val() == 0  # a simple root: 2z is a unit
+        residual = evaluate(C.relations[0].poly, pt.coords, 32)
+        assert not residual.nonzero_before(32)
+
+
 def test_make_point_origin():
     C = tango_chart()
     z = LaurentSeries.zero(F3, N)
@@ -90,12 +107,11 @@ def test_pullback_matches_chain_rule():
     C = raynaud_chart()
     g = C.nf(C.poly("x*z + y^2"))
     dg = OneForm.d(C, g)
-    from charfol.adelic import _converter
 
     for _ in range(10):
         pt = random_local_point(C, rng, N)
         lhs = pullback_form(pt, dg)
-        rhs = g.evaluate(pt.coords, _converter(C, pt.prec)).derivative()
+        rhs = evaluate(g, pt.coords, pt.prec).derivative()
         assert not (lhs - rhs).nonzero_before(min(N // 2, lhs.prec, rhs.prec))
 
 

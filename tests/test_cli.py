@@ -34,7 +34,7 @@ def test_tango_verify_human_lists_checks():
 
 
 def test_raynaud_ledger_asserted_items_visible():
-    code, out = run(["raynaud-ledger", "--p", "3", "--d", "2", "--degN", "3", "--json"])
+    code, out = run(["raynaud-ledger", "--p", "3", "--d", "2", "--json"])
     assert code == 0
     rep = json.loads(out)
     by_status = {}
@@ -215,6 +215,16 @@ GOLDEN = [
     # a factorization degree bound (137) above 3p
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
      "f7798f6ad21232a9578b3e5f10a8d569906bd5ac2cfe721077a5a5e48c2286ad"),
+    # recorded before series.evaluate became the one substitution of series
+    # into chart polynomials: trial logs print every sampled and lifted
+    # point, the ledger derives degN = dp - 3 (7 here), and star counts and
+    # the chain-rule witness on the affine plane
+    ("equiv-check --p 5 --d 3 --trials 40 --seed 1 --verbose --json",
+     "5618b1da953439956ef66511f127862a98577aa0f73c24fba6f30252140e3918"),
+    ("raynaud-ledger --p 5 --d 2 --json",
+     "ef2cdd562d2f8853f175f41343a0f69742158207f5fcb3871d526f6effa53aa7"),
+    ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",
+     "280eaf36fc76e3f8f9055fd0f76a4b75efebf310f42c45da1acb5c584d62756a"),
 ]
 
 
@@ -251,6 +261,84 @@ def test_pipeline_has_no_jobs_flag():
     with pytest.raises(SystemExit) as info:
         run(["pipeline", "--p", "3", "--d", "2", "--jobs", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["pipeline", "--p", "3", "--d", "2"],
+    ["raynaud-ledger", "--p", "3", "--d", "2"],
+], ids=lambda c: c[0])
+def test_degN_is_derived_not_a_flag(command):
+    # the lattice accepts only degN = dp - 3, so the flag could only fail a run
+    with pytest.raises(SystemExit) as info:
+        run(command + ["--degN", "3"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["star-check", "--p", "3", "--d", "2"],
+    ["equiv-check", "--p", "3", "--d", "2"],
+    ["pipeline", "--p", "3", "--d", "2"],
+], ids=lambda c: c[0])
+def test_negative_trials_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(command + ["--trials", "-3", "--json"])
+    assert info.value.code == 2
+    assert "trials must be an integer of at least 0" in capsys.readouterr().err
+
+
+def test_star_check_without_trials_is_inconclusive():
+    code, out = run(["star-check", "--p", "3", "--d", "2", "--trials", "0", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    check = rep["checks"][0]
+    assert (check["name"], check["status"]) == ("pullbacks-evaluated", "inconclusive")
+    assert (check["values"]["star_true"], check["values"]["star_false"]) == (0, 0)
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_raynaud_ledger_needs_d_at_least_2(d, capsys):
+    code, out = run(["raynaud-ledger", "--p", "5", "--d", str(d), "--json"])
+    assert (code, out) == (2, "")
+    assert "error: need d >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", [10, 13])
+def test_equiv_check_below_star_precision_is_inconclusive(precision):
+    # this sample gave 10 false counterexamples at precision 13: the star
+    # horizon 6 ends before the t^6 terms dz pulls back to
+    code, out = run(["equiv-check", "--p", "3", "--d", "2", "--trials", "100",
+                     "--seed", "1", "--precision", str(precision), "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    (check,) = rep["checks"]
+    assert (check["name"], check["status"]) == ("star-horizon", "inconclusive")
+    assert check["values"]["precision"] == precision
+    assert check["values"]["min_precision"] == 14
+
+
+def test_equiv_check_from_star_precision_agrees_with_lifts():
+    code, out = run(["equiv-check", "--p", "3", "--d", "2", "--trials", "100",
+                     "--seed", "1", "--precision", "14", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    vals = next(c["values"] for c in rep["checks"] if c["name"] == "zero-counterexamples")
+    assert vals["counterexamples"] == []
+    assert (vals["star_true"], vals["star_false"]) == (54, 46)
+    assert (vals["lift_exists"], vals["lift_fails"]) == (46, 54)
+
+
+def test_pipeline_below_star_precision_is_inconclusive():
+    code, out = run(["pipeline", "--p", "3", "--d", "2", "--trials", "20",
+                     "--precision", "10", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == []
+    check = next(c for c in rep["checks"] if c["name"] == "equivalence/star-horizon")
+    assert check["status"] == "inconclusive"
+    assert check["values"]["min_precision"] == 14
 
 
 def test_bad_parameters_exit_2():

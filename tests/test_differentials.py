@@ -11,6 +11,7 @@ from charfol.differentials import (
     cartier,
     decompose_pth,
     is_locally_exact,
+    _elimination,
     reduce_form,
     relative_vars,
     split_absolute,
@@ -67,6 +68,24 @@ def test_elimination_tangle():
     )
     with pytest.raises(RuntimeError):
         reduce_form(OneForm.d(C, C.var("x")))
+
+
+@pytest.mark.parametrize("relations,want", [
+    # dx = -dy + 2z dz, then dy = 2w dw rewrites the dx substitution
+    ([("z^2 - x - y", "z"), ("w^2 - y", "w")], "2*z*dz + w*dw"),
+    # dy = (2/t)w dw + (2/t)y dt first, so the dx substitution takes over
+    # its dt part
+    ([("w^2 - t*y", "w"), ("z^2 - x - y", "z")],
+     "2*z*dz + ((1)/(t))*w*dw + ((1)/(t))*y*dt"),
+])
+def test_elimination_substitutes_across_relations(relations, want):
+    vars = ("x", "y", "z", "w")
+    C = ChartAlgebra(K, vars, [(parse_poly(r, vars, K), v) for r, v in relations])
+    assert str(reduce_form(OneForm.d(C, C.var("x")))) == want
+    subs, flags = _elimination(C)
+    assert (sorted(subs), flags) == ([0, 1], ())
+    # no registered substitution names an eliminated variable
+    assert all(not set(rc) & set(subs) for rc, _ in subs.values())
 
 
 def test_split_absolute_model():

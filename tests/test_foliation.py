@@ -10,6 +10,8 @@ from charfol.differentials import OneForm
 from charfol._linalg import kernel_basis
 from charfol.foliation import (
     Derivation,
+    _free_divide,
+    _try_exact_divide,
     bracket,
     frobenius_factorization_check,
     is_p_closed_rank1,
@@ -126,6 +128,15 @@ def test_kernel_content_removed():
     # (b, -a) = (x^2+x)(2, -1), content removed, then scaled to lead with 1
     assert [str(c) for c in D.coeffs] == ["1", "1"]
     assert pairing(w, D).is_zero()
+
+
+def test_exact_divide_falls_back_to_a_span():
+    # x = z * z on z^2 = x, but z does not divide x in the free ring
+    C = ChartAlgebra(K, ("x", "z"), [(parse_poly("z^2 - x", ("x", "z"), K), "z")])
+    x, z = C.var("x"), C.var("z")
+    assert _free_divide(x, z) is None
+    assert _try_exact_divide(C, x, z) == z
+    assert _try_exact_divide(C, z, x) is None
 
 
 def test_ring_of_constants_plane():
