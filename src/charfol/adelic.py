@@ -301,7 +301,7 @@ def lift_point(point, pres):
             factor = eval_terms(factor_terms)
             if factor.is_zero():
                 continue
-            rest = rhs - eval_terms(closed)
+            rest = rhs - eval_terms(closed) if closed else rhs.truncate(N)
             val = rest / factor
             for _ in range(j):
                 root = val.pth_root()

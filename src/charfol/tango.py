@@ -16,14 +16,18 @@ class GenusMismatch(AssertionError):
     pass
 
 
+def check_domain(p, d):
+    if p < 3:
+        raise ValueError("need p >= 3")
+    if d < 2:
+        raise ValueError("need d >= 2: for d = 1 the model is rational")
+
+
 class PlanarTangoCurve:
     __slots__ = ("field", "p", "d", "n", "affine", "infinity")
 
     def __init__(self, p, d, field=None):
-        if p < 3:
-            raise ValueError("need p >= 3")
-        if d < 2:
-            raise ValueError("need d >= 2: for d = 1 the model is rational")
+        check_domain(p, d)
         if field is None:
             field = gf.Field(p)
         if field.p != p:

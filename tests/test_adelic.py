@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from charfol import gf
+from charfol import adelic, gf
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
 from charfol.foliation import Derivation, kernel_of_form
@@ -158,7 +158,7 @@ def test_presentation_rejects_non_inseparable():
         QuotientPresentation(S, T, {"x": parse_poly("u^2", ("u",), K)})
 
 
-def test_lift_on_raynaud_quotient():
+def raynaud_presentation():
     # phi: K[z_s, x_s] -> chart, z -> z_s^3, x -> x_s^3, y -> z_s^2 - x_s
     C = raynaud_chart()
     S = ChartAlgebra(K, ("z", "x"), [])
@@ -167,7 +167,11 @@ def test_lift_on_raynaud_quotient():
         "y": parse_poly("z^2 - x", ("z", "x"), K),
         "z": parse_poly("z^3", ("z", "x"), K),
     }
-    pres = QuotientPresentation(S, C, images)
+    return C, QuotientPresentation(S, C, images)
+
+
+def test_lift_on_raynaud_quotient():
+    C, pres = raynaud_presentation()
     zt = LaurentSeries.t_power(F3, 3, N)
     yt = LaurentSeries.t_power(F3, 1, N)
     xt = zt * zt - yt * yt * yt
@@ -179,6 +183,24 @@ def test_lift_on_raynaud_quotient():
     bad = make_point(C, {"x": bad_x, "y": yt, "z": bad_z}, N)
     with pytest.raises(NoLift):
         lift_point(bad, pres)
+
+
+def test_lift_evaluates_no_zero_polynomial(monkeypatch):
+    # x and z are solved from x_s^3 and z_s^3, with no other term to subtract
+    C, pres = raynaud_presentation()
+    zt = LaurentSeries.t_power(F3, 3, N)
+    yt = LaurentSeries.t_power(F3, 1, N)
+    pt = make_point(C, {"x": zt * zt - yt * yt * yt, "y": yt, "z": zt}, N)
+    zero_polys = []
+
+    def counting(poly, coords, prec):
+        if poly.is_zero():
+            zero_polys.append(poly)
+        return evaluate(poly, coords, prec)
+
+    monkeypatch.setattr(adelic, "evaluate", counting)
+    assert lift_point(pt, pres).coord("z").val() == 1
+    assert zero_polys == []
 
 
 def test_random_points_live_on_chart_and_bias_works():

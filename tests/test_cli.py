@@ -6,7 +6,9 @@ import shlex
 
 import pytest
 
-from charfol import _linalg, adelic, cli, descent, foliation
+from fractions import Fraction
+
+from charfol import _linalg, adelic, cli, descent, foliation, raynaud
 
 
 def run(argv):
@@ -180,12 +182,15 @@ def test_pipeline_json_deterministic():
 
 
 # sha256 of the JSON reports, recorded before the pipeline built each stage
-# once; the stage chain must reproduce them byte for byte
+# once; the stage chain must reproduce them byte for byte. The three pipeline
+# digests and the raynaud-ledger one were recorded again when the ledgers
+# listed their classes as definitions instead of comparing each with itself
+# and the pipeline dropped its preflight checks; no other check changed.
 GOLDEN = [
     ("pipeline --p 3 --d 2 --seed 7 --trials 15 --json",
-     "113542277063036db05dd566f6cb42109624d7cdd566c47aa0fbbe143b1cdcfd"),
+     "09a6a76cb8fee23835bdcf032222f83f85e76a6b08d5ec536431b0996980da29"),
     ("pipeline --p 5 --d 3 --q 25 --seed 7 --trials 15 --json",
-     "134558e33ac6ba19ca389d2e4a38de67da8927aae64e93e8602f436e0169e5c0"),
+     "fa69e0b272e218968707a3386a8df36743f90b223429a9b769ae890312cd25df"),
     ("quotient --p 5 --d 3 --json",
      "14b6e1b3bc4d443fe1310362a615a1ee0d10471e869549557a9a615b8af28c4e"),
     ("quotient --p 3 --d 2 --chart affine-plane --q 9 --json",
@@ -214,7 +219,7 @@ GOLDEN = [
      "e82bbb25b84a3782917b80f18cf262d840f86d215d6df4a5e9c63caf2598f791"),
     # a factorization degree bound (137) above 3p
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
-     "f7798f6ad21232a9578b3e5f10a8d569906bd5ac2cfe721077a5a5e48c2286ad"),
+     "2cf8d7462c83d13124ad23b4678637745f157537d34656724f5794d7e63cd483"),
     # recorded before series.evaluate became the one substitution of series
     # into chart polynomials: trial logs print every sampled and lifted
     # point, the ledger derives degN = dp - 3 (7 here), and star counts and
@@ -222,7 +227,7 @@ GOLDEN = [
     ("equiv-check --p 5 --d 3 --trials 40 --seed 1 --verbose --json",
      "5618b1da953439956ef66511f127862a98577aa0f73c24fba6f30252140e3918"),
     ("raynaud-ledger --p 5 --d 2 --json",
-     "ef2cdd562d2f8853f175f41343a0f69742158207f5fcb3871d526f6effa53aa7"),
+     "a7f896204d4f741bbca49adfe140d0baa7fedfe008c87fb409bc282adc465878"),
     ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",
      "280eaf36fc76e3f8f9055fd0f76a4b75efebf310f42c45da1acb5c584d62756a"),
 ]
@@ -301,6 +306,71 @@ def test_raynaud_ledger_needs_d_at_least_2(d, capsys):
     code, out = run(["raynaud-ledger", "--p", "5", "--d", str(d), "--json"])
     assert (code, out) == (2, "")
     assert "error: need d >= 2" in capsys.readouterr().err
+
+
+def test_raynaud_ledger_reports_a_false_identity(monkeypatch):
+    # F^2 = 1 breaks the fiber adjunction and nothing else on the ruled lattice
+    init = raynaud.SurfaceLattice.__init__
+
+    def corrupted(self, tag, *args):
+        init(self, tag, *args)
+        if tag == "ruled":
+            (hh, hf), (fh, _) = self.gram
+            self.gram = ((hh, hf), (fh, Fraction(1)))
+
+    monkeypatch.setattr(raynaud.SurfaceLattice, "__init__", corrupted)
+    rep = json.loads(cli.cmd_raynaud_ledger(3, 2).to_json())
+    assert rep["status"] == "fail"
+    assert [c for c in rep["checks"] if c["status"] != "pass"
+            and c["status"] != "asserted-by-paper"] == [
+        {"name": "ruled/(K+F), F adjunction", "status": "fail",
+         "values": {"lhs": "23", "rhs": "-2"}}]
+
+
+# d = 5 does not divide p + 1 = 4: Raynaud's cover does not exist
+NEEDS_COVER = ["equiv-check", "star-check", "foliation", "quotient", "pipeline",
+               "raynaud-ledger"]
+
+
+@pytest.mark.parametrize("command", NEEDS_COVER)
+def test_d_not_dividing_p_plus_1_fails_the_hypothesis(command):
+    code, out = run([command, "--p", "3", "--d", "5", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "fail"
+    assert rep["checks"] == [
+        {"name": "hypothesis/d-divides-p-plus-1", "status": "fail",
+         "values": {"p": 3, "d": 5, "error": "d = 5 does not divide p + 1 = 4"}}]
+
+
+def test_tango_curve_needs_no_cover():
+    code, _ = run(["tango-verify", "--p", "3", "--d", "5", "--json"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", NEEDS_COVER + ["tango-verify"])
+@pytest.mark.parametrize("p,d,error", [(4, 2, "p = 4 is not prime"),
+                                       (2, 3, "need p >= 3"),
+                                       (3, 1, "need d >= 2")])
+def test_bad_p_or_d_exits_2(command, p, d, error, capsys):
+    code, out = run([command, "--p", str(p), "--d", str(d), "--json"])
+    assert (code, out) == (2, "")
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_quotient_fails_on_a_wrong_power_certificate():
+    ch, D, _ = cli.preset_chart("raynaud-local", 3, 2)
+    descended = adelic.descend_and_factor(ch, D)
+
+    def status():
+        rep = cli.cmd_quotient(3, 2, descended=descended)
+        return next(c["status"] for c in rep.checks
+                    if c["name"] == "p-th-powers-are-constants")
+
+    assert status() == "pass"
+    certs = descended.factorization.power_certificates
+    certs["y"] = certs["y"] + 1
+    assert status() == "fail"
 
 
 @pytest.mark.parametrize("precision", [10, 13])

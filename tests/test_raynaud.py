@@ -84,6 +84,27 @@ def test_d_equal_1_rejected():
         ample_class_A(3, 1, 3)
 
 
+@pytest.mark.parametrize("ledger", [verify_ruled_formulas, verify_raynaud_formulas])
+def test_ledgers_need_d_at_least_2(ledger):
+    # the curve's error, before the lattice's genus is needed
+    with pytest.raises(ValueError, match="need d >= 2"):
+        ledger(5, 1, 2)
+
+
+def test_ledgers_list_definitions_and_check_only_identities():
+    ruled = verify_ruled_formulas(3, 2, 3)
+    assert ruled["definitions"] == {"S": "H", "Gamma": "3*H + -18*F", "K": "-2*H + 24*F"}
+    ray = verify_raynaud_formulas(3, 2, 3)
+    assert ray["definitions"] == {"K_X": "15*F", "Sigma": "3*T + -9*F"}
+    gen = global_generation_numerics(3, 2, 3)
+    names = {c["name"] for rep in (ruled, ray, gen) for c in rep["checks"]}
+    # each compared a class, or p(d-1) at d = 2, with itself
+    assert names.isdisjoint({
+        "S = H", "Gamma = p*H - p*degL*F", "K = -2*H + (p+1)*degL*F",
+        "K_X = (pd-p-d-1)*T + (d+p)*degN*F", "Sigma = p*T - p*degN*F",
+        "fiber degree of the pencil map = p"})
+
+
 def test_pA_decompositions_coincide():
     for p, d, degn in PARAMS:
         rep = global_generation_numerics(p, d, degn)
