@@ -11,9 +11,8 @@ lifts exactly when every supplied section pulls back to zero.
 
 import random
 
-from . import gf
 from .algebra import MultiPoly, FunField, restrict_to_field
-from .series import LaurentSeries, NotSimpleRoot, evaluate, newton
+from .series import LaurentSeries, NotSimpleRoot, evaluate, from_codes, newton
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
 from .foliation import _generator_monomials, frobenius_factorization_check
@@ -353,11 +352,11 @@ def _random_free_series(field, rng, N, p_powered):
         for _ in range(rng.randrange(0, 3)):
             terms[rng.randrange(0, _FREE_TOP)] = rng.randrange(field.q)
     v0 = min(terms) if terms else 0
-    coeffs = [field.from_int(0)] * (max(terms) - v0 + 1) if terms else []
+    codes = [0] * (max(terms) - v0 + 1) if terms else []
     for k, c in terms.items():
         # c < q is the code of an element of F_q, not only of the prime field
-        coeffs[k - v0] = gf.FieldElement(field, c)
-    return LaurentSeries(field, v0, coeffs, N)
+        codes[k - v0] = c
+    return from_codes(field, v0, codes, N)
 
 
 def _linear_unit_var(chart):

@@ -190,7 +190,7 @@ def _ledger_section(rep, prefix, data):
 
 def cmd_raynaud_ledger(p, d):
     # out of the domain the ledgers raise the curve's ValueError or
-    # HypothesisViolated for main to report; degN = dp - 3 fits the curve and
+    # HypothesisViolated for the caller to report; degN = dp - 3 fits the curve and
     # makes every product of A positive, so they raise nothing else
     degN = _default_degn(p, d)
     rep = RunReport("raynaud-ledger", {"p": p, "d": d, "degN": degN})
@@ -406,7 +406,10 @@ def cmd_pipeline(p, d, seed=0, trials=200, precision=64, q=None, verbose=False):
                                  "precision": precision, "q": q})
 
     rep.extend("tango", cmd_tango_verify(p, d, q=q))
-    rep.extend("lattice", cmd_raynaud_ledger(p, d))
+    try:
+        rep.extend("lattice", cmd_raynaud_ledger(p, d))
+    except raynaud.HypothesisViolated as e:
+        rep.add("hypothesis/d-divides-p-plus-1", FAIL, p=p, d=d, error=str(e))
     if rep.status == FAIL:
         return rep
 

@@ -2,13 +2,16 @@
 
 An element is one int n = c_0 + c_1 p + ... + c_(e-1) p^(e-1) in [0, q), the
 base-p code of its coefficients over F_p (FieldElement.n); the coefficients
-are read back only to print. Over F_p the operations are int operations mod
-p. For e > 1 a Field builds, on first use, tables over a primitive element g
-(K. Huber, IEEE Trans. Inf. Theory 36(4), 1990): exp[k] = g^k for k in
-[0, 2(q-1)), log[n] with log[0] = -1, and zech[k] = log(1 + g^k). A product,
-an inverse or a power is then arithmetic on logs, a sum one Zech lookup. The
-characteristic is exposed everywhere as .p; frobenius and pth_root are total
-maps (the field is perfect). Supported bound: q <= 2^16.
+are read back only to print. The arithmetic on codes lives once, on Field
+(add, neg, mul, inv, power): FieldElement's operators wrap it, and series
+store their coefficients as bare codes and call it or read the tables. Over
+F_p the operations are int operations mod p. For e > 1 a Field builds, on
+first use, tables over a primitive element g (K. Huber, IEEE Trans. Inf.
+Theory 36(4), 1990): exp[k] = g^k for k in [0, 2(q-1)), log[n] with
+log[0] = -1, and zech[k] = log(1 + g^k). A product, an inverse or a power is
+then arithmetic on logs, a sum one Zech lookup. The characteristic is
+exposed everywhere as .p; frobenius and pth_root are total maps (the field
+is perfect). Supported bound: q <= 2^16.
 """
 
 MAX_Q = 1 << 16
@@ -206,6 +209,53 @@ class Field:
         self.exp = exp + exp
         self.log = log
 
+    # -- arithmetic on codes: FieldElement's operators and series use these --
+
+    def add(self, a, b):
+        if self.e == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
+        log = self.log
+        i = log[a]
+        z = self.zech[log[b] - i]
+        return self.exp[i + z] if z >= 0 else 0
+
+    def neg(self, a):
+        if self.e == 1:
+            return -a % self.p
+        if not a or self.p == 2:
+            return a
+        # -1 = g^((q-1)/2)
+        return self.exp[self.log[a] + (self.q - 1) // 2]
+
+    def mul(self, a, b):
+        if self.e == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of 0 in " + repr(self))
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def power(self, a, n):
+        if n < 0:
+            return self.power(self.inv(a), -n)
+        if self.e == 1:
+            return pow(a, n, self.p)
+        if not a:
+            return 0 if n else 1
+        return self.exp[self.log[a] * n % (self.q - 1)]
+
     # -- elements --
 
     def zero(self):
@@ -258,7 +308,8 @@ class Field:
 
 
 class FieldElement:
-    """The element of field with base-p code n."""
+    """The element of field with base-p code n; its operators are the
+    field's code operations."""
 
     __slots__ = ("field", "n")
 
@@ -277,29 +328,12 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             other = self._check(other)
-        a, b = self.n, other.n
-        if f.e == 1:
-            return FieldElement(f, (a + b) % f.p)
-        if not a:
-            return other
-        if not b:
-            return self
-        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
-        log = f.log
-        i = log[a]
-        z = f.zech[log[b] - i]
-        return FieldElement(f, f.exp[i + z] if z >= 0 else 0)
+        return FieldElement(f, f.add(self.n, other.n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, -self.n % f.p)
-        if not self.n or f.p == 2:
-            return self
-        # -1 = g^((q-1)/2)
-        return FieldElement(f, f.exp[f.log[self.n] + (f.q - 1) // 2])
+        return FieldElement(self.field, self.field.neg(self.n))
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -311,23 +345,12 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             other = self._check(other)
-        a, b = self.n, other.n
-        if f.e == 1:
-            return FieldElement(f, a * b % f.p)
-        if not a or not b:
-            return FieldElement(f, 0)
-        log = f.log
-        return FieldElement(f, f.exp[log[a] + log[b]])
+        return FieldElement(f, f.mul(self.n, other.n))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.n:
-            raise ZeroDivisionError("inverse of 0 in " + repr(self.field))
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, pow(self.n, f.p - 2, f.p))
-        return FieldElement(f, f.exp[f.q - 1 - f.log[self.n]])
+        return FieldElement(self.field, self.field.inv(self.n))
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -336,14 +359,7 @@ class FieldElement:
         return self.field.from_int(other) / self
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, pow(self.n, n, f.p))
-        if not self.n:
-            return FieldElement(f, 0 if n else 1)
-        return FieldElement(f, f.exp[f.log[self.n] * n % (f.q - 1)])
+        return FieldElement(self.field, self.field.power(self.n, n))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -386,7 +402,4 @@ def frobenius(a):
 
 def pth_root(a):
     """The unique b with b^p = a (perfectness): b = a^(p^(e-1))."""
-    f = a.field
-    if f.e == 1:
-        return a
-    return a ** (f.p ** (f.e - 1))
+    return a ** (a.field.p ** (a.field.e - 1))

@@ -1,14 +1,17 @@
 """Truncated Laurent series over F_q with explicit precision.
 
 A series knows its coefficients on [v0, prec) and nothing above; every
-operation propagates the pessimistic precision. A product computes only the
-coefficients below both its precision and its full degree, so short series
-multiply in time set by their lengths, not by the precision. Over prime
-fields it packs coefficients into one big integer (Kronecker substitution)
-so a single native multiply does the convolution. A monomial c*t^v inverts
-exactly; longer series invert by Newton iteration, and newton solves
-polynomial equations the same way. evaluate is the one substitution of
-series into a polynomial over F_q or F_q(t).
+operation propagates the pessimistic precision. Coefficients are stored as
+gf codes (ints) and combined by the gf.Field code operations and tables;
+FieldElements appear only at the constructor, coeffs and coeff. A product
+computes only the coefficients below both its precision and its full degree,
+so short series multiply in time set by their lengths, not by the precision,
+and a one-term factor c*t^v is one scalar pass. Over prime fields it packs
+coefficients into one big integer (Kronecker substitution) so a single
+native multiply does the convolution. A monomial c*t^v inverts exactly;
+longer series invert by Newton iteration, and newton solves polynomial
+equations the same way. evaluate is the one substitution of series into a
+polynomial over F_q or F_q(t).
 """
 
 from . import gf
@@ -28,7 +31,7 @@ class NotSimpleRoot(ValueError):
 
 
 def _conv_prime(p, a, b, out_len):
-    """The first out_len coefficients of the convolution of nonempty int
+    """The first out_len coefficients of the convolution of nonempty code
     lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1."""
     maxval = (p - 1) * (p - 1) * min(len(a), len(b))
     slot = (maxval.bit_length() + 7) // 8
@@ -48,8 +51,8 @@ def _conv_generic(field, a, b, out_len):
     log below 2(q-1) indexes exp unreduced."""
     q1 = field.q - 1
     log, zech = field.log, field.zech
-    la = [log[c.n] for c in a]
-    lb = [log[c.n] for c in b]
+    la = [log[c] for c in a]
+    lb = [log[c] for c in b]
     out = [-1] * out_len
     for i, x in enumerate(la[:out_len]):
         if x < 0:
@@ -65,59 +68,79 @@ def _conv_generic(field, a, b, out_len):
                 z = zech[(x + y - s) % q1]
                 out[k] = (s + z) % q1 if z >= 0 else -1
     exp = field.exp
-    return [gf.FieldElement(field, exp[s] if s >= 0 else 0) for s in out]
+    return [exp[s] if s >= 0 else 0 for s in out]
+
+
+def _scale(field, c, a):
+    """The codes c*x for x in a, c nonzero: one pass."""
+    if field.e == 1:
+        p = field.p
+        return [c * x % p for x in a]
+    log, exp = field.log, field.exp
+    lc = log[c]
+    return [exp[lc + log[x]] if x else 0 for x in a]
+
+
+def _normal(v0, codes, prec):
+    """(v0, codes) for sum codes[i] t^(v0+i) + O(t^prec), with leading zeros
+    moved into v0 and the rest from prec on and trailing zeros dropped."""
+    n = len(codes)
+    i = 0
+    while i < n and not codes[i]:
+        i += 1
+    end = min(n, prec - v0)
+    while end > i and not codes[end - 1]:
+        end -= 1
+    if end <= i:
+        return prec, []
+    return v0 + i, codes if i == 0 and end == n else codes[i:end]
+
+
+def from_codes(field, v0, codes, prec):
+    """The series sum codes[i] t^(v0+i) + O(t^prec), codes a list of gf
+    codes of field that the series may keep."""
+    s = object.__new__(LaurentSeries)
+    s.field = field
+    s.v0, s._c = _normal(v0, codes, prec)
+    s.prec = prec
+    return s
 
 
 class LaurentSeries:
-    __slots__ = ("field", "v0", "coeffs", "prec")
+    """c_0 t^v0 + c_1 t^(v0+1) + ... + O(t^prec), the codes c_i in _c with
+    c_0 nonzero; v0 is prec for the zero series."""
+
+    __slots__ = ("field", "v0", "_c", "prec")
 
     def __init__(self, field, v0, coeffs, prec):
-        # strip leading zeros, clip at prec, keep leading coefficient nonzero
-        i = 0
-        while i < len(coeffs) and not coeffs[i]:
-            i += 1
-        coeffs = coeffs[i:]
-        v0 += i
-        keep = max(0, min(len(coeffs), prec - v0))
-        coeffs = list(coeffs[:keep])
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        # coeffs: FieldElements of field
         self.field = field
-        self.coeffs = coeffs
-        self.v0 = v0 if coeffs else prec
+        self.v0, self._c = _normal(v0, [c.n for c in coeffs], prec)
         self.prec = prec
 
     # -- constructors --
 
     @classmethod
     def zero(cls, field, prec):
-        return cls(field, prec, [], prec)
+        return from_codes(field, prec, [], prec)
 
     @classmethod
     def constant(cls, field, c, prec):
-        if isinstance(c, int):
-            c = field.from_int(c)
-        return cls(field, 0, [c], prec)
+        return cls.t_power(field, 0, prec, c)
 
     @classmethod
     def t_power(cls, field, k, prec, c=1):
-        if isinstance(c, int):
-            c = field.from_int(c)
-        return cls(field, k, [c], prec)
+        return from_codes(field, k, [c % field.p if isinstance(c, int) else c.n], prec)
 
     @classmethod
     def from_poly(cls, poly, prec):
         """Univariate MultiPoly over a gf.Field, exact up to prec."""
         if len(poly.vars) != 1:
             raise ValueError("from_poly needs a univariate polynomial")
-        field = poly.domain
-        if not poly.terms:
-            return cls.zero(field, prec)
-        deg = poly.degree()
-        coeffs = [field.zero()] * (deg + 1)
+        codes = [0] * (poly.degree() + 1)
         for (k,), c in poly.terms.items():
-            coeffs[k] = c
-        return cls(field, 0, coeffs, prec)
+            codes[k] = c.n
+        return from_codes(poly.domain, 0, codes, prec)
 
     @classmethod
     def from_ratfunc(cls, r, prec):
@@ -132,43 +155,42 @@ class LaurentSeries:
 
     # -- bookkeeping --
 
-    def _val_bound(self):
-        # lower bound for the valuation, exact when the series is nonzero
-        return self.v0 if self.coeffs else self.prec
+    @property
+    def coeffs(self):
+        return [gf.FieldElement(self.field, n) for n in self._c]
 
     def val(self):
-        if not self.coeffs:
+        if not self._c:
             raise PrecisionExhausted(f"series is zero to precision O(t^{self.prec})")
         return self.v0
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def coeff(self, k):
         if k >= self.prec:
             raise PrecisionExhausted(f"coefficient of t^{k} beyond O(t^{self.prec})")
-        if k < self.v0 or k >= self.v0 + len(self.coeffs):
-            return self.field.zero()
-        return self.coeffs[k - self.v0]
+        i = k - self.v0
+        return gf.FieldElement(self.field, self._c[i] if 0 <= i < len(self._c) else 0)
 
     def truncate(self, n):
-        return LaurentSeries(self.field, self.v0, self.coeffs, min(self.prec, n))
+        if n >= self.prec:
+            return self
+        return from_codes(self.field, self.v0, self._c, n)
 
     def _with_prec(self, n):
         # asserts knowledge up to n (Newton-style external argument)
-        return LaurentSeries(self.field, self.v0, self.coeffs, n)
+        return from_codes(self.field, self.v0, self._c, n)
 
     def nonzero_before(self, n):
-        n = min(n, self.prec)
-        return any(
-            c for i, c in enumerate(self.coeffs) if self.v0 + i < n
-        )
+        # the first coefficient is nonzero
+        return bool(self._c) and self.v0 < min(n, self.prec)
 
     # -- arithmetic --
 
     def _check(self, other):
         if isinstance(other, LaurentSeries):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise TypeError("series over different fields")
             return other
         if isinstance(other, (int, gf.FieldElement)):
@@ -178,27 +200,27 @@ class LaurentSeries:
     def __add__(self, other):
         other = self._check(other)
         prec = min(self.prec, other.prec)
-        if not self.coeffs:
+        a, b = self._c, other._c
+        if not a:
             return other.truncate(prec)
-        if not other.coeffs:
+        if not b:
             return self.truncate(prec)
-        v0 = min(self.v0, other.v0)
-        top = min(prec, max(self.v0 + len(self.coeffs), other.v0 + len(other.coeffs)))
-        out = [self.field.zero()] * max(0, top - v0)
-        for i, c in enumerate(self.coeffs):
-            k = self.v0 + i
-            if k < top:
-                out[k - v0] = c
-        for i, c in enumerate(other.coeffs):
-            k = other.v0 + i
-            if k < top:
-                out[k - v0] = out[k - v0] + c
-        return LaurentSeries(self.field, v0, out, prec)
+        va, vb = self.v0, other.v0
+        v0 = min(va, vb)
+        top = min(prec, max(va + len(a), vb + len(b)))
+        out = [0] * max(0, top - v0)
+        i, m = va - v0, max(0, min(len(a), top - va))
+        out[i : i + m] = a[:m]
+        j, m = vb - v0, max(0, min(len(b), top - vb))
+        add = self.field.add
+        out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
+        return from_codes(self.field, v0, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.v0, [-c for c in self.coeffs], self.prec)
+        neg = self.field.neg
+        return from_codes(self.field, self.v0, [neg(c) for c in self._c], self.prec)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -209,53 +231,53 @@ class LaurentSeries:
     def __mul__(self, other):
         other = self._check(other)
         f = self.field
-        va, vb = self._val_bound(), other._val_bound()
+        a, b = self._c, other._c
+        va, vb = self.v0, other.v0
         prec = min(self.prec + vb, other.prec + va)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.zero(f, prec)
         # coefficients above the full product's degree are known zeros
-        out_len = min(prec - (va + vb), len(self.coeffs) + len(other.coeffs) - 1)
-        if out_len <= 0:
-            return LaurentSeries.zero(f, prec)
-        if f.e == 1:
-            a = [c.n for c in self.coeffs]
-            b = [c.n for c in other.coeffs]
-            raw = _conv_prime(f.p, a, b, out_len)
-            coeffs = [gf.FieldElement(f, v) for v in raw]
+        out_len = min(prec - (va + vb), len(a) + len(b) - 1)
+        if not a or not b or out_len <= 0:
+            return from_codes(f, prec, [], prec)
+        if len(a) == 1:
+            codes = _scale(f, a[0], b[:out_len])
+        elif len(b) == 1:
+            codes = _scale(f, b[0], a[:out_len])
+        elif f.e == 1:
+            codes = _conv_prime(f.p, a, b, out_len)
         else:
-            coeffs = _conv_generic(f, self.coeffs, other.coeffs, out_len)
-        return LaurentSeries(f, self.v0 + other.v0, coeffs, prec)
+            codes = _conv_generic(f, a, b, out_len)
+        return from_codes(f, va + vb, codes, prec)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        if not self.coeffs:
+        a = self._c
+        if not a:
             raise DivisionByZeroSeries(f"inverting a series that is O(t^{self.prec})")
         m = self.prec - self.v0
         if m <= 0:
             raise PrecisionExhausted("no known coefficients to invert")
         f = self.field
-        if len(self.coeffs) == 1:
+        inv0 = [f.inv(a[0])]
+        if len(a) == 1:
             # a monomial c*t^v inverts exactly; Newton converges to the same
-            return LaurentSeries(
-                f, -self.v0, [self.coeffs[0].inverse()], self.prec - 2 * self.v0
-            )
-        u = LaurentSeries(f, 0, self.coeffs, m)  # unit part, relative precision m
-        r = LaurentSeries(f, 0, [self.coeffs[0].inverse()], 1)
+            return from_codes(f, -self.v0, inv0, self.prec - 2 * self.v0)
+        u = from_codes(f, 0, a, m)  # unit part, relative precision m
+        r = from_codes(f, 0, inv0, 1)
         k = 1
         while k < m:
             k = min(2 * k, m)
             uk = u.truncate(k)
             rk = r._with_prec(k)
             r = (rk * (LaurentSeries.constant(f, 2, k) - uk * rk)).truncate(k)
-        return LaurentSeries(f, -self.v0, r.coeffs, self.prec - 2 * self.v0)
+        return from_codes(f, -self.v0, r._c, self.prec - 2 * self.v0)
 
     def __truediv__(self, other):
         other = self._check(other)
-        if not other.coeffs:
+        if not other._c:
             raise DivisionByZeroSeries(f"dividing by a series that is O(t^{other.prec})")
         out = self * other.reciprocal()
-        if not out.coeffs and self.coeffs:
+        if not out._c and self._c:
             # numerator has a known valuation but no quotient coefficient survives
             raise PrecisionExhausted(
                 f"quotient valuation {self.v0 - other.v0} not below precision {out.prec}"
@@ -268,17 +290,17 @@ class LaurentSeries:
     def __pow__(self, n):
         if n < 0:
             return self.reciprocal() ** (-n)
-        if n == 0:
-            return LaurentSeries.constant(self.field, 1, self.prec)
         f = self.field
+        if n == 0:
+            return from_codes(f, 0, [1], self.prec)
         p = f.p
         if n % p == 0:
             # s^p is a Frobenius, c_i t^i -> c_i^p t^(p*i), one pass; its
             # precision is the N + (p-1)v that repeated multiplication gives
-            out = [f.zero()] * (p * len(self.coeffs))
-            out[::p] = [gf.frobenius(c) for c in self.coeffs]
-            prec = self.prec + (p - 1) * self._val_bound()
-            return LaurentSeries(f, p * self.v0, out, prec) ** (n // p)
+            out = [0] * (p * len(self._c))
+            out[::p] = [f.power(c, p) for c in self._c]
+            prec = self.prec + (p - 1) * self.v0
+            return from_codes(f, p * self.v0, out, prec) ** (n // p)
         result = None
         base = self
         while n:
@@ -291,50 +313,40 @@ class LaurentSeries:
 
     def derivative(self):
         f = self.field
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.v0 + i
-            out.append(c * f.from_int(k))
-        return LaurentSeries(f, self.v0 - 1, out, self.prec - 1)
+        mul, p, v0 = f.mul, f.p, self.v0
+        out = [mul(c, (v0 + i) % p) for i, c in enumerate(self._c)]
+        return from_codes(f, v0 - 1, out, self.prec - 1)
 
     def pth_root(self):
         """The series s with s^p = self, or None when exponents obstruct it."""
         f = self.field
         p = f.p
-        if not self.coeffs:
-            return LaurentSeries.zero(f, -(-self.prec // p))
-        if self.v0 % p:
+        prec = -(-self.prec // p)
+        a, v0 = self._c, self.v0
+        if not a:
+            return from_codes(f, prec, [], prec)
+        if v0 % p or any(c for i, c in enumerate(a) if i % p):
             return None
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.v0 + i
-            if k % p:
-                if c:
-                    return None
-                continue
-            j = k // p
-            while len(out) <= j - self.v0 // p:
-                out.append(f.zero())
-            out[j - self.v0 // p] = gf.pth_root(c)
-        return LaurentSeries(f, self.v0 // p, out, -(-self.prec // p))
+        root = p ** (f.e - 1)  # c^(1/p) = c^(p^(e-1))
+        return from_codes(f, v0 // p, [f.power(c, root) for c in a[::p]], prec)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (
-            other.field == self.field
+            (other.field is self.field or other.field == self.field)
             and other.v0 == self.v0
-            and other.coeffs == self.coeffs
+            and other._c == self._c
             and other.prec == self.prec
         )
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, n in enumerate(self._c):
+            if not n:
                 continue
             k = self.v0 + i
-            cs = str(c)
+            cs = str(gf.FieldElement(self.field, n))
             if any(ch in cs for ch in "+-/"):
                 cs = f"({cs})"
             if k == 0:

@@ -1,7 +1,8 @@
-"""Property tests: the field axioms, Frobenius and p-th roots over F_q with
-p in {2, 3, 5, 7}, e <= 4; series multiply, reciprocal and powers, series conversion
-of rational functions and RatFunc normalisation, over random F_q with
-q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
+"""Property tests: the field axioms, Frobenius and p-th roots, and series
+multiply (a one-term factor on either side too), reciprocal, powers and p-th
+roots over F_q with p in {2, 3, 5, 7}, e <= 4; series conversion of rational
+functions and RatFunc normalisation, over random F_q with q = p^e,
+p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
 against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
 forms (idempotent, blind to the relation ideal) and the descent p-th roots
@@ -144,9 +145,21 @@ def series(draw, field, max_len=8, nonzero=False):
 @settings(deadline=None)
 @given(st.data())
 def test_series_mul_is_schoolbook_convolution(data):
-    field = data.draw(fields)
-    a = data.draw(series(field))
-    b = data.draw(series(field))
+    field = data.draw(grid_fields)
+    _check_schoolbook(field, data.draw(series(field)), data.draw(series(field)))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_mul_by_one_term_is_schoolbook_convolution(data):
+    field = data.draw(grid_fields)
+    s = data.draw(series(field))
+    m = data.draw(series(field, max_len=1, nonzero=True))
+    _check_schoolbook(field, m, s)
+    _check_schoolbook(field, s, m)
+
+
+def _check_schoolbook(field, a, b):
     va = a.v0 if a.coeffs else a.prec
     vb = b.v0 if b.coeffs else b.prec
     prec = min(a.prec + vb, b.prec + va)
@@ -169,7 +182,7 @@ def test_series_mul_is_schoolbook_convolution(data):
 @settings(deadline=None)
 @given(st.data())
 def test_series_reciprocal_times_series_is_one(data):
-    field = data.draw(fields)
+    field = data.draw(grid_fields)
     s = data.draw(series(field, nonzero=True))
     # known to s's relative precision: 1 + O(t^(prec - v0))
     rel = s.prec - s.v0
@@ -179,7 +192,7 @@ def test_series_reciprocal_times_series_is_one(data):
 @settings(deadline=None)
 @given(st.data())
 def test_series_monomial_inverts_exactly(data):
-    field = data.draw(fields)
+    field = data.draw(grid_fields)
     c = data.draw(_elements(field, nonzero=True))
     v = data.draw(st.integers(-3, 3))
     P = v + data.draw(st.integers(1, 12))
@@ -190,7 +203,7 @@ def test_series_monomial_inverts_exactly(data):
 @settings(deadline=None)
 @given(st.data())
 def test_series_power_divisible_by_p_is_repeated_multiplication(data):
-    field = data.draw(fields)
+    field = data.draw(grid_fields)
     p = field.p
     s = data.draw(series(field))
     n = data.draw(st.sampled_from([p, 2 * p, p * p, 3 * p]))
@@ -201,6 +214,21 @@ def test_series_power_divisible_by_p_is_repeated_multiplication(data):
             ref = ref * base
         got = base**n
         assert (got.v0, got.coeffs, got.prec) == (ref.v0, ref.coeffs, ref.prec)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_pth_root_inverts_the_pth_power(data):
+    field = data.draw(grid_fields)
+    p = field.p
+    s = data.draw(series(field))
+    r = (s**p).pth_root()
+    # s^p is known to prec + (p-1)v, so its root to at most s's precision
+    assert r.prec <= s.prec and r == s.truncate(r.prec)
+    if s.coeffs and s.prec > s.v0 + 1:
+        # a known term off the p-th powers has no root
+        k = p * s.v0 + 1
+        assert (s**p + LaurentSeries.t_power(field, k, k + 1)).pth_root() is None
 
 
 F5 = gf.Field(5)
