@@ -213,7 +213,8 @@ class MultiPoly:
             return got
 
         out = None
-        for e, c in sorted(self.terms.items(), key=lambda item: _grlex_key(item[0])):
+        # any term order: the sums in V are exact
+        for e, c in self.terms.items():
             val = convert(c)
             for v, k in zip(self.vars, e):
                 if k:
@@ -508,10 +509,6 @@ class FunField:
 
     def gen(self):
         return RatFunc(MultiPoly.variable(self.field, (self.var,), self.var))
-
-    def poly(self, text):
-        """Parse a polynomial in t, returned as a RatFunc with denominator 1."""
-        return RatFunc(parse_poly(text, (self.var,), self.field))
 
     def random_element(self, rng, max_deg=2):
         num = {

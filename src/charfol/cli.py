@@ -201,12 +201,10 @@ def cmd_raynaud_ledger(p, d):
     rep.add("ruled/modeling-assumption", ASSERTED, note=ruled["modeling_assumption"])
     rep.add("ruled/definitions", ASSERTED, **ruled["definitions"])
     _ledger_section(rep, "ruled", ruled)
-    rep.add("raynaud/definitions", ASSERTED, **ray["definitions"])
-    _ledger_section(rep, "raynaud", ray)
-    rep.add("raynaud/fiber-invariants", PASS,
+    rep.add("raynaud/definitions", ASSERTED, **ray["definitions"],
             deg_K_F=ray["deg_K_F"], fiber_arithmetic_genus=ray["fiber_arithmetic_genus"])
+    _ledger_section(rep, "raynaud", ray)
     _ledger_section(rep, "ample", ample)
-    rep.add("ample/positivity", PASS, **ample["positivity"])
     rep.add("ample/test-set-caveat", ASSERTED, note=ample["caveat"])
     _ledger_section(rep, "generation", gen)
     for i, note in enumerate(gen["assumptions_passed_through"]):
@@ -360,21 +358,19 @@ def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
 
 
 def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
-                    precision=64, assert_generated=False, verbose=False,
+                    precision=64, verbose=False,
                     built=None, descended=None):
     """built and descended: the preset_chart and descend_and_factor results
     for the chart, when already built."""
     rep = RunReport("equiv-check", {"p": p, "d": d, "chart": chart, "q": q,
                                     "trials": trials, "seed": seed,
-                                    "precision": precision,
-                                    "assert_generated": assert_generated})
+                                    "precision": precision})
     ch, D, sections = built or preset_chart(chart, p, d, q)
     if not _star_horizon_reached(rep, ch, sections, precision):
         return rep
     data = verify_equivalence(descended or descend_and_factor(ch, D), sections,
                               trials=trials, seed=seed,
-                              N=precision, assert_generated=assert_generated,
-                              verbose=verbose)
+                              N=precision, verbose=verbose)
     rep.add("model-and-presentation", PASS,
             images=data["presentation"]["images"],
             source_vars=data["presentation"]["source_vars"])
@@ -386,12 +382,8 @@ def cmd_equiv_check(p, d, chart="raynaud-local", q=None, trials=200, seed=0,
     rep.add("both-sides-populated", PASS if data["buckets_ok"] else INCONCLUSIVE,
             lift_exists=data["lift_exists"], lift_fails=data["lift_fails"])
     basis = data["generation_basis"]
-    if basis == "unit-coefficient-section":
-        rep.add("sections-generate", PASS, basis=basis)
-    elif basis == "asserted":
-        rep.add("sections-generate", ASSERTED, basis=basis)
-    else:
-        rep.add("sections-generate", INCONCLUSIVE, basis=basis)
+    rep.add("sections-generate",
+            PASS if basis == "unit-coefficient-section" else INCONCLUSIVE, basis=basis)
     if verbose and "trial_log" in data:
         rep.add("trial-log", PASS, log=data["trial_log"])
     return rep
@@ -514,8 +506,6 @@ def build_parser():
     sp = sub.add_parser("equiv-check", help="lift vs pullback dichotomy")
     _add_common(sp, "p", "d", "chart", "q", "precision", "trials", "seed",
                 "verbose")
-    sp.add_argument("--assert-generated", dest="assert_generated",
-                    action="store_true")
 
     sp = sub.add_parser("pipeline", help="full chain for one (p, d)")
     _add_common(sp, "p", "d", "q", "precision", "trials", "seed", "verbose")
@@ -538,11 +528,15 @@ def main(argv=None):
     ap = build_parser()
     ns = ap.parse_args(argv)
     kwargs = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
+    # a fallback report lists the parameters the command's own report would
+    params = {k: v for k, v in kwargs.items() if k != "verbose"}
+    if ns.command in ("raynaud-ledger", "pipeline"):
+        params["degN"] = _default_degn(ns.p, ns.d)
     t0 = time.monotonic()
     try:
         rep = _DISPATCH[ns.command](**kwargs)
     except raynaud.HypothesisViolated as e:
-        rep = RunReport(ns.command, kwargs)
+        rep = RunReport(ns.command, params)
         rep.add("hypothesis/d-divides-p-plus-1", FAIL, p=ns.p, d=ns.d, error=str(e))
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -553,7 +547,7 @@ def main(argv=None):
         # reference cycles, can hold the memory the report needs: free them.
         e.__traceback__ = None
         gc.collect()
-        rep = RunReport(ns.command, kwargs)
+        rep = RunReport(ns.command, params)
         reason = f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
         rep.add("error", INCONCLUSIVE, reason=reason)
     rep.wall_time = time.monotonic() - t0

@@ -50,10 +50,6 @@ class OneForm:
         t_comp = _coeff_t_derivative(g) if _has_t(chart) else None
         return cls(chart, comps, t_comp, primitive=g)
 
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, [chart.zero() for _ in chart.vars])
-
     def coeff(self, name):
         return self.comps[self.chart.vars.index(name)]
 

@@ -214,13 +214,17 @@ def ample_class_A(p, d, deg_n):
 
 def global_generation_numerics(p, d, deg_n):
     """The two decompositions of p*A and the lattice-level disjointness of
-    their base loci; hypotheses the lattice cannot see are listed, not checked."""
+    their base loci; hypotheses the lattice cannot see are listed, not checked.
+
+    The second decomposition is derived, not restated: R = p*A - (d-1)*Sigma
+    meets F in 0, so R = c*F with c = R.T, and c = p*A.T because Sigma.T = 0.
+    On a lattice where Sigma.T != 0 it therefore fails."""
     lat = SurfaceLattice("raynaud", p, d, deg_n)
     T = lat.section()
     A = lat.cls(d - 1, deg_n)
     Sigma = lat.cls(p, -p * deg_n)
     pA = p * A
-    alt = (d - 1) * Sigma + lat.cls(0, p * d * deg_n)
+    alt = (d - 1) * Sigma + pA.dot(T) * lat.fiber()
     report = {"surface": "raynaud", "p": p, "d": d, "degN": deg_n,
               "pA": str(pA), "checks": [],
               "assumptions_passed_through": [
@@ -229,8 +233,8 @@ def global_generation_numerics(p, d, deg_n):
                   "the base curve is not hyperelliptic",
                   "the separation argument needs d = 2",
               ]}
-    _check(report, "p*A = p(d-1)*T + p*degN*F", str(pA), str(lat.cls(p * (d - 1), p * deg_n)))
-    _check(report, "p*A = (d-1)*Sigma + p*d*degN*F", str(pA), str(alt))
+    _check(report, "p*A = p(d-1)*T + p*degN*F", pA, lat.cls(p * (d - 1), p * deg_n))
+    _check(report, "p*A = (d-1)*Sigma + p*d*degN*F", pA, alt)
     _check(report, "base loci disjoint: T.Sigma = 0", T.dot(Sigma), Fraction(0))
     report["ok"] = all(c["pass"] for c in report["checks"])
     return report

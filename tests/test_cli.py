@@ -188,17 +188,17 @@ def test_pipeline_json_deterministic():
 # and the pipeline dropped its preflight checks; no other check changed.
 GOLDEN = [
     ("pipeline --p 3 --d 2 --seed 7 --trials 15 --json",
-     "09a6a76cb8fee23835bdcf032222f83f85e76a6b08d5ec536431b0996980da29"),
+     "2c012cfa270fa38158046eb6b6d78b90e624c9dc61c3e9ab891fd8e72958dd0b"),
     ("pipeline --p 5 --d 3 --q 25 --seed 7 --trials 15 --json",
-     "fa69e0b272e218968707a3386a8df36743f90b223429a9b769ae890312cd25df"),
+     "073a4655ebbe1c9d11eae68c19a1d66d1355ff597e9f3f749268437e004a9160"),
     ("quotient --p 5 --d 3 --json",
      "14b6e1b3bc4d443fe1310362a615a1ee0d10471e869549557a9a615b8af28c4e"),
     ("quotient --p 3 --d 2 --chart affine-plane --q 9 --json",
      "3a430f0e01f61c2630199581586d7098456f5a9ced33be56109e9d006a066ce5"),
     ("equiv-check --p 5 --d 3 --chart raynaud-local --trials 15 --seed 7 --json",
-     "9a7a3103bcc50f09cd7f34d636a98e42eae5427205e3bce866e37cb2e03c58a8"),
+     "4b024f9824e45e456d00e474d65ebc2f8192c73b549b172da58a0cfb476b049a"),
     ("equiv-check --p 3 --d 2 --chart affine-plane --trials 20 --seed 2 --json",
-     "7189baf2969fc31e83b54195caf819b7022bb116d80c40a110da8235a0659f7c"),
+     "754d3da90b9f9351515245c4b9139402bb3a26a33e775bc4111bc66f9834dac6"),
     # Newton at infinity, over a prime field and over F_9
     ("tango-verify --p 7 --d 4 --json",
      "7a3d9107bfdb566231ed621ef7a1b1dc26e3e7e8a69c1fec91479d12db607158"),
@@ -210,24 +210,24 @@ GOLDEN = [
     # extension fields: F_25 on both charts, F_3^10 at the top of the
     # q <= 2^16 domain, and the star count over F_729
     ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart raynaud-local --json",
-     "2f7f8777330dc1363805ea182eeffaa2c2592556fe2b78bd8344b6879cce8cb2"),
+     "6b0f8ec5d560a0e7a7c749625da9edac1a22e56e7beb8adc52fb7423cda1427e"),
     ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart affine-plane --json",
-     "c0bf8dcb49d2ab2aa7ec3aa0f8fa4532e5b386443761b97919e093edd00eddb0"),
+     "c363fa44bcf506e3214cd57503ab6334c78fae58ad05d0fffd6f0ab37390a7b8"),
     ("equiv-check --p 3 --d 2 --q 59049 --trials 20 --seed 1 --json",
-     "87ef76821a10a769628bb2295d43636e35f441dcace853ba405ba2a0c9388022"),
+     "008fbb4f7721b913c082615a916d0fb7d8b3014fd82c7f33a33f06293d60b4c9"),
     ("star-check --p 3 --d 2 --q 729 --json",
      "e82bbb25b84a3782917b80f18cf262d840f86d215d6df4a5e9c63caf2598f791"),
     # a factorization degree bound (137) above 3p
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
-     "2cf8d7462c83d13124ad23b4678637745f157537d34656724f5794d7e63cd483"),
+     "738ee20d82453599110af6e0c072e74f7931bd8db696873d9b7d5a529eaf4e32"),
     # recorded before series.evaluate became the one substitution of series
     # into chart polynomials: trial logs print every sampled and lifted
     # point, the ledger derives degN = dp - 3 (7 here), and star counts and
     # the chain-rule witness on the affine plane
     ("equiv-check --p 5 --d 3 --trials 40 --seed 1 --verbose --json",
-     "5618b1da953439956ef66511f127862a98577aa0f73c24fba6f30252140e3918"),
+     "b97a91925afd85dd900ca956d33a0bed9f8ab1973ad1644866dd84c49c8a2be0"),
     ("raynaud-ledger --p 5 --d 2 --json",
-     "a7f896204d4f741bbca49adfe140d0baa7fedfe008c87fb409bc282adc465878"),
+     "43a394f3b4caee69c22a421dedcd887b973f6f8083a779ec2dd7c0467e9414c5"),
     ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",
      "280eaf36fc76e3f8f9055fd0f76a4b75efebf310f42c45da1acb5c584d62756a"),
 ]
@@ -327,6 +327,35 @@ def test_raynaud_ledger_reports_a_false_identity(monkeypatch):
          "values": {"lhs": "23", "rhs": "-2"}}]
 
 
+def test_derived_pA_decomposition_fails_when_sigma_meets_T(monkeypatch):
+    # T^2 = degN + 1 gives Sigma.T = p: the second decomposition of p*A,
+    # derived from Sigma.T = 0, no longer matches p*A
+    init = raynaud.SurfaceLattice.__init__
+
+    def corrupted(self, tag, *args):
+        init(self, tag, *args)
+        if tag == "raynaud":
+            (tt, tf), (ft, ff) = self.gram
+            self.gram = ((tt + 1, tf), (ft, ff))
+
+    monkeypatch.setattr(raynaud.SurfaceLattice, "__init__", corrupted)
+    rep = json.loads(cli.cmd_raynaud_ledger(3, 2).to_json())
+    check = next(c for c in rep["checks"]
+                 if c["name"] == "generation/p*A = (d-1)*Sigma + p*d*degN*F")
+    assert check == {"name": "generation/p*A = (d-1)*Sigma + p*d*degN*F",
+                     "status": "fail",
+                     "values": {"lhs": "3*T + 9*F", "rhs": "3*T + 12*F"}}
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (5, 3), (7, 4)])
+def test_every_ledger_pass_compares_lhs_with_rhs(p, d):
+    code, out = run(["raynaud-ledger", "--p", str(p), "--d", str(d), "--json"])
+    assert code == 0
+    passed = [c["values"] for c in json.loads(out)["checks"] if c["status"] == "pass"]
+    assert passed
+    assert all("lhs" in v and "rhs" in v and v["lhs"] == v["rhs"] for v in passed)
+
+
 # d = 5 does not divide p + 1 = 4: Raynaud's cover does not exist
 NEEDS_COVER = ["equiv-check", "star-check", "foliation", "quotient", "pipeline",
                "raynaud-ledger"]
@@ -349,6 +378,39 @@ def test_d_not_dividing_p_plus_1_fails_the_hypothesis(command):
     assert checks == [
         {"name": "hypothesis/d-divides-p-plus-1", "status": "fail",
          "values": {"p": 3, "d": 5, "error": "d = 5 does not divide p + 1 = 4"}}]
+
+
+@pytest.mark.parametrize("command", NEEDS_COVER)
+def test_fallback_reports_list_the_commands_parameters(command, monkeypatch):
+    extra = {"equiv-check": ["--trials", "3", "--verbose"],
+             "pipeline": ["--trials", "3", "--verbose"],
+             "star-check": ["--trials", "3"]}.get(command, [])
+
+    def parameters(d):
+        code, out = run([command, "--p", "3", "--d", str(d), "--json"] + extra)
+        return code, json.loads(out)
+
+    code, passing = parameters(2)
+    assert code == 0
+    keys = set(passing["parameters"])
+    # the failed hypothesis check
+    code, rep = parameters(5)
+    assert code == 1 and set(rep["parameters"]) == keys
+
+    # the inconclusive error check of a run stopped short of a verdict
+    def stopped(**kwargs):
+        raise RuntimeError("stopped")
+
+    monkeypatch.setitem(cli._DISPATCH, command, stopped)
+    code, rep = parameters(5)
+    assert code == 1 and [c["name"] for c in rep["checks"]] == ["error"]
+    assert set(rep["parameters"]) == keys
+
+
+def test_equiv_check_has_no_assert_generated_flag():
+    with pytest.raises(SystemExit) as info:
+        run(["equiv-check", "--p", "3", "--d", "2", "--assert-generated"])
+    assert info.value.code == 2
 
 
 def test_tango_curve_needs_no_cover():
