@@ -114,7 +114,7 @@ def solve_coordinate(chart, coords, name, N=64, initial=None):
 
 def pullback_form(point, form):
     """Coefficient of dt in the pullback: sum a_i(x(t)) x_i'(t) + a_t(x(t))."""
-    if form.chart != point.chart:
+    if form.chart is not point.chart and form.chart != point.chart:
         raise TypeError("form and point live on different charts")
     out = None
     for v, a in zip(point.chart.vars, form.comps):
@@ -146,14 +146,14 @@ def min_star_precision(chart, sections):
     top = max(_FREE_TOP - 1, chart.domain.p * (_P_POWER_MULTIPLES - 1))
     weight = dict.fromkeys(chart.vars, 1)
     below = dict.fromkeys(chart.vars + (None,), _FREE_TOP - 1)
-    solve_var, rel = _linear_unit_var(chart)
-    if solve_var is not None:
-        _require_t_free(rel.poly, f"the relation solved for {solve_var}")
-        i = chart.vars.index(solve_var)
-        weight[solve_var] = max((sum(e) for e in rel.poly.terms if not e[i]), default=0)
-        below[solve_var] = weight[solve_var] * top
-    elif chart.relations:
-        weight[chart.relations[0].var] = None
+    plan = chart.solve_plan
+    solved = plan.solve_var
+    if solved is not None:
+        _require_t_free(plan.rel.poly, f"the relation solved for {solved}")
+        weight[solved] = max((sum(e) for e in plan.rest.terms), default=0)
+        below[solved] = weight[solved] * top
+    elif plan.newton_var is not None:
+        weight[plan.newton_var] = None
     bound = _FREE_TOP - 1
     for w in sections:
         for v, a in (*zip(chart.vars, w.comps), (None, w.t_comp)):
@@ -258,7 +258,7 @@ def lift_point(point, pres):
     variables never pinned down default to 0, and every equation is
     verified at half precision before the lift is returned.
     """
-    if point.chart != pres.target:
+    if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
     source = pres.source
     p = source.domain.p
@@ -359,40 +359,19 @@ def _random_free_series(field, rng, N, p_powered):
     return from_codes(field, v0, codes, N)
 
 
-def _linear_unit_var(chart):
-    """A variable some relation determines linearly with a constant unit
-    coefficient, together with that relation."""
-    for rel in chart.relations:
-        for v in chart.vars:
-            if rel.poly.deg_in(v) == 1:
-                c = rel.poly.coeff_in(v, 1)
-                if c.is_constant() and not c.is_zero():
-                    others = sum(r.poly.deg_in(v) for r in chart.relations if r is not rel)
-                    if others == 0:
-                        return v, rel
-    return None, None
-
-
 def random_local_point(chart, rng, N=64):
     """A random point on the chart, each free coordinate a short random
     series that is purely a p-th power with probability 1/2. One relation
     variable is solved exactly when it appears linearly with a unit
     coefficient; otherwise the designated variable is completed by Newton.
     Draws again, up to _POINT_TRIES times, when a draw hits a non-simple
-    root or misses the chart."""
+    root or misses the chart. The chart's solve plan says which variable
+    is solved and how."""
     field = _base_field(chart)
-    solve_var, rel = _linear_unit_var(chart)
-    newton_var = None
-    if solve_var is not None:
-        # solve_var = rest(other coordinates), rel divided by -(its coefficient)
-        i = chart.vars.index(solve_var)
-        scale = -(rel.poly.coeff_in(solve_var, 1).constant_value().inverse())
-        rest = MultiPoly(chart.domain, chart.vars,
-                         {e: c * scale for e, c in rel.poly.terms.items() if not e[i]})
-    elif chart.relations:
-        if len(chart.relations) > 1:
-            raise UnsupportedPresentation("random points need at most one relation")
-        newton_var = chart.relations[0].var
+    plan = chart.solve_plan
+    solve_var, newton_var = plan.solve_var, plan.newton_var
+    if newton_var is not None and len(chart.relations) > 1:
+        raise UnsupportedPresentation("random points need at most one relation")
     for _ in range(_POINT_TRIES):
         coords = {}
         for v in chart.vars:
@@ -400,7 +379,7 @@ def random_local_point(chart, rng, N=64):
                 continue
             coords[v] = _random_free_series(field, rng, N, rng.random() < 0.5)
         if solve_var is not None:
-            coords[solve_var] = evaluate(rest, coords, N)
+            coords[solve_var] = evaluate(plan.rest, coords, N)
         elif newton_var is not None:
             try:
                 coords = solve_coordinate(chart, coords, newton_var, N)
@@ -456,7 +435,6 @@ def verify_equivalence(
     trials=200,
     seed=0,
     N=64,
-    assert_generated=False,
     verbose=False,
 ):
     """Check lift-exists == every-section-pulls-back-to-zero on random points.
@@ -466,8 +444,8 @@ def verify_equivalence(
     sections are descended to its model. Points are generated with the
     p-th-power bias so both outcomes occur.
     The run is marked inconclusive unless some section has a unit
-    coefficient or assert_generated is set (the generation hypothesis for
-    the section family has no chart-level test).
+    coefficient (the generation hypothesis for the section family has no
+    chart-level test).
     """
     pair = descended.pair
     model = pair.model
@@ -483,13 +461,8 @@ def verify_equivalence(
 
     if not sections:
         # nothing to test: an empty run, inconclusive whatever was asked
-        trials, assert_generated, verbose = 0, False, False
-    if _has_unit_section(model_sections):
-        basis = "unit-coefficient-section"
-    elif assert_generated:
-        basis = "asserted"
-    else:
-        basis = "none"
+        trials, verbose = 0, False
+    basis = "unit-coefficient-section" if _has_unit_section(model_sections) else "none"
 
     rng = random.Random(seed)
     lift_yes = lift_no = star_yes = star_no = 0

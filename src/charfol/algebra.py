@@ -201,24 +201,16 @@ class MultiPoly:
 
         assignment: dict var name -> value in a ring V closed under + and *.
         convert: coefficient -> V. Returns a V element; the zero polynomial
-        returns convert(0).
+        returns convert(0). Powers are not cached here: a LaurentSeries
+        keeps its own.
         """
-        cache = {v: {} for v in self.vars}
-
-        def vpow(v, k):
-            got = cache[v].get(k)
-            if got is None:
-                got = assignment[v] ** k
-                cache[v][k] = got
-            return got
-
         out = None
         # any term order: the sums in V are exact
         for e, c in self.terms.items():
             val = convert(c)
             for v, k in zip(self.vars, e):
                 if k:
-                    val = val * vpow(v, k)
+                    val = val * assignment[v] ** k
             out = val if out is None else out + val
         if out is None:
             out = convert(self.domain.zero())
@@ -704,10 +696,47 @@ def restrict_to_field(chart, polys):
     return ChartAlgebra(K.field, chart.vars, rels), [down(f) for f in polys]
 
 
+def _linear_unit_var(chart):
+    """A variable some relation determines linearly with a constant unit
+    coefficient and no other relation involves, together with that
+    relation."""
+    for rel in chart.relations:
+        for v in chart.vars:
+            if rel.poly.deg_in(v) == 1:
+                c = rel.poly.coeff_in(v, 1)
+                if c.is_constant() and not c.is_zero():
+                    others = sum(r.poly.deg_in(v) for r in chart.relations if r is not rel)
+                    if others == 0:
+                        return v, rel
+    return None, None
+
+
+class SolvePlan:
+    """How drawn values of the other coordinates complete to a point of a
+    chart: solve_var = rest(the other coordinates) by its relation rel, or
+    else Newton on newton_var, the first relation's designated variable.
+    All are None on a chart without relations."""
+
+    __slots__ = ("solve_var", "rel", "rest", "newton_var")
+
+    def __init__(self, chart):
+        self.solve_var, self.rel = _linear_unit_var(chart)
+        self.rest = self.newton_var = None
+        if self.rel is not None:
+            # rel divided by -(the coefficient of solve_var), solve_var dropped
+            poly = self.rel.poly
+            i = chart.vars.index(self.solve_var)
+            scale = -(poly.coeff_in(self.solve_var, 1).constant_value().inverse())
+            self.rest = MultiPoly(chart.domain, chart.vars,
+                                  {e: c * scale for e, c in poly.terms.items() if not e[i]})
+        elif chart.relations:
+            self.newton_var = chart.relations[0].var
+
+
 class ChartAlgebra:
     """domain[vars] / (relations), relations triangular and monic."""
 
-    __slots__ = ("domain", "vars", "relations")
+    __slots__ = ("domain", "vars", "relations", "solve_plan")
 
     def __init__(self, domain, vars, relations=()):
         self.domain = domain
@@ -723,6 +752,13 @@ class ChartAlgebra:
             seen.add(rel.var)
             rels.append(rel)
         self.relations = tuple(rels)
+
+    def __getattr__(self, name):
+        # only an unset slot lands here: the solve plan is built on first use
+        if name == "solve_plan":
+            self.solve_plan = SolvePlan(self)
+            return self.solve_plan
+        raise AttributeError(name)
 
     def var(self, name):
         return MultiPoly.variable(self.domain, self.vars, name)

@@ -10,12 +10,13 @@ and a one-term factor c*t^v is one scalar pass. Over prime fields it packs
 coefficients into one big integer (Kronecker substitution) so a single
 native multiply does the convolution. A monomial c*t^v inverts exactly;
 longer series invert by Newton iteration, and newton solves polynomial
-equations the same way. evaluate is the one substitution of series into a
-polynomial over F_q or F_q(t).
+equations the same way. A series never changes, so it keeps the powers
+asked of it. evaluate is the one substitution of series into a polynomial
+over F_q or F_q(t); a constant coefficient becomes its code directly.
 """
 
 from . import gf
-from .algebra import FunField
+from .algebra import FunField, _is_one
 
 
 class DivisionByZeroSeries(ZeroDivisionError):
@@ -110,7 +111,7 @@ class LaurentSeries:
     """c_0 t^v0 + c_1 t^(v0+1) + ... + O(t^prec), the codes c_i in _c with
     c_0 nonzero; v0 is prec for the zero series."""
 
-    __slots__ = ("field", "v0", "_c", "prec")
+    __slots__ = ("field", "v0", "_c", "prec", "_powers")
 
     def __init__(self, field, v0, coeffs, prec):
         # coeffs: FieldElements of field
@@ -144,10 +145,14 @@ class LaurentSeries:
 
     @classmethod
     def from_ratfunc(cls, r, prec):
-        dden = r.den.degree()
-        if dden == 0:
-            # RatFunc keeps den monic, so a constant den is 1
+        if _is_one(r.den):
+            terms = r.num.terms
+            c = terms.get((0,))
+            if c is not None and len(terms) == 1:
+                # a nonzero constant: its code, with no degree scan
+                return from_codes(r.field, 0, [c.n], prec)
             return cls.from_poly(r.num, prec)
+        dden = r.den.degree()
         pad = prec + 2 * dden + 4
         num = cls.from_poly(r.num, pad)
         den = cls.from_poly(r.den, pad)
@@ -288,6 +293,20 @@ class LaurentSeries:
         return self._check(other) / self
 
     def __pow__(self, n):
+        # a series never changes, so it keeps every power asked of it; s**1
+        # is s itself and stays out of the memo, which would make a cycle
+        if n == 1:
+            return self
+        try:
+            memo = self._powers
+        except AttributeError:
+            memo = self._powers = {}
+        got = memo.get(n)
+        if got is None:
+            got = memo[n] = self._power(n)
+        return got
+
+    def _power(self, n):
         if n < 0:
             return self.reciprocal() ** (-n)
         f = self.field

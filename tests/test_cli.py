@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from charfol import _linalg, adelic, cli, descent, foliation, raynaud
+from charfol import _linalg, adelic, algebra, cli, descent, foliation, raynaud
 
 
 def run(argv):
@@ -260,6 +260,27 @@ def test_pipeline_descends_and_factors_once(monkeypatch):
     assert code in (0, 1)
     assert calls == {"descend_algebra": 1, "frobenius_factorization_check": 1,
                      "ring_of_constants": 1, "kernel_basis": 1}
+
+
+@pytest.mark.parametrize("command,charts", [
+    # min_star_precision reads the preset chart's plan, the sampler the
+    # descended model's
+    ("equiv-check", 2),
+    ("star-check", 1),
+])
+def test_solve_plan_is_built_once_per_chart(monkeypatch, command, charts):
+    built = []
+    plan = algebra.SolvePlan
+
+    def counting(chart):
+        built.append(chart)
+        return plan(chart)
+
+    monkeypatch.setattr(algebra, "SolvePlan", counting)
+    code, _ = run([command, "--p", "5", "--d", "3", "--trials", "30",
+                   "--seed", "1", "--json"])
+    assert code in (0, 1)
+    assert len({id(c) for c in built}) == len(built) == charts
 
 
 def test_pipeline_has_no_jobs_flag():

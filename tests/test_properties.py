@@ -15,7 +15,7 @@ from charfol import gf
 from charfol._linalg import SpanTracker, kernel_basis, solve_span
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
 from charfol.descent import frobenius_K, in_Kp, multipoly_pth_root, pth_root_K
-from charfol.series import LaurentSeries
+from charfol.series import LaurentSeries, from_codes
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
 VARS = ("t",)
@@ -101,6 +101,9 @@ def test_from_ratfunc_constant_den_is_from_poly(num, N):
     pad = N + 4
     general = LaurentSeries.from_poly(r.num, pad) / LaurentSeries.from_poly(r.den, pad)
     assert s == general.truncate(N)
+    # a constant numerator, zero included, takes a direct path
+    const = MultiPoly.constant(num.domain, VARS, num.constant_value())
+    assert LaurentSeries.from_ratfunc(RatFunc(const), N) == LaurentSeries.from_poly(const, N)
 
 
 @settings(deadline=None)
@@ -214,6 +217,31 @@ def test_series_power_divisible_by_p_is_repeated_multiplication(data):
             ref = ref * base
         got = base**n
         assert (got.v0, got.coeffs, got.prec) == (ref.v0, ref.coeffs, ref.prec)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_memoized_powers_match_a_fresh_copy(data):
+    field = data.draw(grid_fields)
+    p = field.p
+    s = data.draw(series(field, nonzero=True))
+    exps = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, p, 2 * p, -1, -2, -p]),
+                              min_size=1, max_size=6))
+
+    def check(base):
+        for _ in range(2):  # the second round reads the memo
+            for n in exps:
+                got = base**n
+                fresh = from_codes(field, base.v0, [c.n for c in base.coeffs], base.prec)
+                want = fresh**n
+                assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
+
+    check(s)
+    # truncated once s holds its powers: at its precision truncate returns s
+    # itself, below it a new series whose powers are its own
+    check(s.truncate(s.prec))
+    if s.prec > s.v0 + 1:
+        check(s.truncate(data.draw(st.integers(s.v0 + 1, s.prec - 1))))
 
 
 @settings(deadline=None)
