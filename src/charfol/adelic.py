@@ -195,10 +195,14 @@ class QuotientPresentation:
     images[v] is phi^*(v) as a polynomial on the source chart. Construction
     verifies that the p-th power of every source variable lies in the subring
     the images generate (searched up to degree 3p); lift_point re-verifies
-    every lift it returns.
+    every lift it returns. What lift_point does with the equation for v
+    depends only on which source variables are already assigned, so each
+    step is worked out once per (v, assigned set) and kept in a memo (see
+    lift_step); the order of assignment can still differ from point to
+    point, since a factor may vanish at one point and not at another.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_steps")
 
     def __init__(self, source, target, images):
         if source.domain != target.domain:
@@ -207,6 +211,7 @@ class QuotientPresentation:
         self.source = source
         self.target = target
         self.images = {}
+        self._steps = {}
         for v in target.vars:
             if v not in images:
                 raise UnsupportedPresentation(f"no image for target coordinate {v}")
@@ -231,12 +236,53 @@ class QuotientPresentation:
                     f"(degree bound {bound})"
                 )
 
+    def lift_step(self, v, assigned):
+        """What lift_point does with the equation for v once the source
+        variables in the frozenset assigned are known: _SET_ASIDE when none
+        of them is left open in it, _WAIT unless exactly one term holds an
+        open variable and only as a power p^j, and otherwise
+        (svar, j, factor, closed): the open variable, its root count, the
+        term's cofactor and the closed terms (None when there are none)."""
+        key = (v, assigned)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._work_out(v, assigned)
+        return step
+
+    def _work_out(self, v, assigned):
+        source = self.source
+        open_terms = []
+        closed = {}
+        for e, c in self.images[v].terms.items():
+            open_vars = [
+                i for i, k in enumerate(e) if k and source.vars[i] not in assigned
+            ]
+            if open_vars:
+                open_terms.append((e, c, open_vars))
+            else:
+                closed[e] = c
+        if not open_terms:
+            return _SET_ASIDE
+        if len(open_terms) > 1 or len(open_terms[0][2]) > 1:
+            return _WAIT
+        e, c, (ui,) = open_terms[0]
+        j = _pure_p_power(e[ui], source.domain.p)
+        if j is None:
+            return _WAIT  # another equation may pin the variable down first
+        factor = MultiPoly(source.domain, source.vars, {e[:ui] + (0,) + e[ui + 1 :]: c})
+        closed = MultiPoly(source.domain, source.vars, closed) if closed else None
+        return source.vars[ui], j, factor, closed
+
     def to_json(self):
         return {
             "source_vars": list(self.source.vars),
             "target_vars": list(self.target.vars),
             "images": {v: str(self.images[v]) for v in self.target.vars},
         }
+
+
+_SET_ASIDE = "set aside"
+_WAIT = "wait"
 
 
 def _pure_p_power(exp, p):
@@ -253,66 +299,49 @@ def lift_point(point, pres):
 
     Triangular passes: an equation becomes usable once it has exactly one
     term containing exactly one undetermined source variable, raised to a
-    power p^j; that variable is then solved by division and j p-th roots.
-    An equation with no undetermined variable left is set aside. Source
-    variables never pinned down default to 0, and every equation is
-    verified at half precision before the lift is returned.
+    power p^j; that variable is then solved by division and j p-th roots,
+    unless its cofactor vanishes at this point. An equation with no
+    undetermined variable left is set aside. pres.lift_step says which case
+    applies. Source variables never pinned down default to 0, and every
+    equation is verified at half precision before the lift is returned.
     """
     if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
     source = pres.source
-    p = source.domain.p
     field = _base_field(source)
     N = point.prec
     half = N // 2
     assigned = {}
-
-    def eval_terms(terms):
-        return evaluate(MultiPoly(source.domain, source.vars, terms), assigned, N)
-
-    pending = [(v, pres.images[v], point.coords[v]) for v in pres.target.vars]
+    known = frozenset()
+    pending = list(pres.target.vars)
     while pending:
         progress = False
-        for item in list(pending):
-            v, img, rhs = item
-            open_terms = []
-            closed = {}
-            for e, c in img.terms.items():
-                open_vars = [
-                    i for i, k in enumerate(e) if k and source.vars[i] not in assigned
-                ]
-                if open_vars:
-                    open_terms.append((e, c, open_vars))
-                else:
-                    closed[e] = c
-            if not open_terms:
-                pending.remove(item)
-                progress = True
+        for v in list(pending):
+            step = pres.lift_step(v, known)
+            if step is _WAIT:
                 continue
-            if len(open_terms) > 1 or len(open_terms[0][2]) > 1:
-                continue
-            e, c, (ui,) = open_terms[0]
-            svar = source.vars[ui]
-            j = _pure_p_power(e[ui], p)
-            if j is None:
-                continue  # another equation may pin svar down first
-            factor_terms = {e[:ui] + (0,) + e[ui + 1 :]: c}
-            factor = eval_terms(factor_terms)
-            if factor.is_zero():
-                continue
-            rest = rhs - eval_terms(closed) if closed else rhs.truncate(N)
-            val = rest / factor
-            for _ in range(j):
-                root = val.pth_root()
-                if root is None:
-                    raise NoLift(v, f"series for {svar} requires a p-th root that does not exist")
-                val = root
-            assigned[svar] = val
-            pending.remove(item)
+            if step is not _SET_ASIDE:
+                svar, j, cofactor, closed = step
+                factor = evaluate(cofactor, assigned, N)
+                if factor.is_zero():
+                    continue
+                rhs = point.coords[v]
+                rest = (rhs - evaluate(closed, assigned, N) if closed is not None
+                        else rhs.truncate(N))
+                val = rest / factor
+                for _ in range(j):
+                    root = val.pth_root()
+                    if root is None:
+                        raise NoLift(
+                            v, f"series for {svar} requires a p-th root that does not exist")
+                    val = root
+                assigned[svar] = val
+                known = known | {svar}
+            pending.remove(v)
             progress = True
         if not progress:
             raise UnsupportedPresentation(
-                f"cannot isolate a source variable in the equation for {pending[0][0]}"
+                f"cannot isolate a source variable in the equation for {pending[0]}"
             )
     for s in source.vars:
         if s not in assigned:

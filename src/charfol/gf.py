@@ -97,19 +97,25 @@ def _irreducible(m, p):
     return True
 
 
+def check_field(p, e=1):
+    """Raise unless F_(p^e) is supported: NotPrime, or a ValueError for
+    e < 1 or q above MAX_Q."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise NotPrime(f"p = {p!r} is not prime")
+    if e < 1:
+        raise ValueError("extension degree must be >= 1")
+    if p**e > MAX_Q:
+        raise ValueError(f"q = {p**e} exceeds supported bound {MAX_Q}")
+
+
 class Field:
     """F_p[u]/(m(u)); for e = 1 no modulus is stored."""
 
     __slots__ = ("p", "e", "q", "modulus", "exp", "log", "zech")
 
     def __init__(self, p, e=1, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NotPrime(f"p = {p!r} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
+        check_field(p, e)
         q = p**e
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} exceeds supported bound {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q

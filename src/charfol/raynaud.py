@@ -11,7 +11,7 @@ when the base curve exists (d >= 2) its genus must satisfy
 
 from fractions import Fraction
 
-from .tango import PlanarTangoCurve, check_domain
+from .tango import check_domain, plane_genus
 
 
 class LatticeMismatch(TypeError):
@@ -42,7 +42,8 @@ class SurfaceLattice:
         self.deg_n = deg_n
         self.deg_l = d * deg_n
         if d >= 2:
-            self.genus = PlanarTangoCurve(p, d).genus()
+            check_domain(p, d)
+            self.genus = plane_genus(d * p)
             if 2 * self.genus - 2 != p * d * deg_n:
                 raise FormulaMismatch(
                     f"2g-2 = {2 * self.genus - 2} but p*d*degN = {p * d * deg_n}; "

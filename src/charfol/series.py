@@ -6,14 +6,19 @@ gf codes (ints) and combined by the gf.Field code operations and tables;
 FieldElements appear only at the constructor, coeffs and coeff. A product
 computes only the coefficients below both its precision and its full degree,
 so short series multiply in time set by their lengths, not by the precision,
-and a one-term factor c*t^v is one scalar pass. Over prime fields it packs
-coefficients into one big integer (Kronecker substitution) so a single
-native multiply does the convolution. A monomial c*t^v inverts exactly;
+and a one-term factor c*t^v is one scalar pass (a copy for c = 1). Over
+prime fields the codes are the values mod p: +, - and d/dt reduce inline,
+Frobenius powers and p-th roots copy codes (c^p = c), and a product packs
+the codes with struct into 1-, 2-, 4- or 8-byte slots of one big integer
+(Kronecker substitution; a code fills at most 2 bytes as q <= 2^16) so a
+single native multiply does the convolution. A monomial c*t^v inverts exactly;
 longer series invert by Newton iteration, and newton solves polynomial
 equations the same way. A series never changes, so it keeps the powers
 asked of it. evaluate is the one substitution of series into a polynomial
 over F_q or F_q(t); a constant coefficient becomes its code directly.
 """
+
+import struct
 
 from . import gf
 from .algebra import FunField, _is_one
@@ -33,17 +38,17 @@ class NotSimpleRoot(ValueError):
 
 def _conv_prime(p, a, b, out_len):
     """The first out_len coefficients of the convolution of nonempty code
-    lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1."""
+    lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1.
+    Each coefficient of the product gets a slot of 1, 2, 4 or 8 bytes, wide
+    enough for its integer value, so struct packs the codes and unpacks the
+    product in one call each."""
     maxval = (p - 1) * (p - 1) * min(len(a), len(b))
-    slot = (maxval.bit_length() + 7) // 8
-    ia = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in a), "little")
-    ib = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in b), "little")
-    prod = ia * ib
-    raw = prod.to_bytes(slot * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[i * slot : (i + 1) * slot], "little") % p
-        for i in range(out_len)
-    ]
+    size = 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
+    fmt = "<%d" + "BHIQ"[size.bit_length() - 1]
+    ia = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
+    ib = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
+    raw = (ia * ib).to_bytes(size * (len(a) + len(b)), "little")
+    return [x % p for x in struct.unpack_from(fmt % out_len, raw)]
 
 
 def _conv_generic(field, a, b, out_len):
@@ -217,15 +222,25 @@ class LaurentSeries:
         i, m = va - v0, max(0, min(len(a), top - va))
         out[i : i + m] = a[:m]
         j, m = vb - v0, max(0, min(len(b), top - vb))
-        add = self.field.add
-        out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
-        return from_codes(self.field, v0, out, prec)
+        f = self.field
+        if f.e == 1:
+            p = f.p
+            out[j : j + m] = [(x + y) % p for x, y in zip(out[j : j + m], b)]
+        else:
+            add = f.add
+            out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
+        return from_codes(f, v0, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg
-        return from_codes(self.field, self.v0, [neg(c) for c in self._c], self.prec)
+        f = self.field
+        if f.e == 1:
+            p = f.p
+            out = [-c % p for c in self._c]
+        else:
+            out = [f.neg(c) for c in self._c]
+        return from_codes(f, self.v0, out, self.prec)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -244,9 +259,9 @@ class LaurentSeries:
         if not a or not b or out_len <= 0:
             return from_codes(f, prec, [], prec)
         if len(a) == 1:
-            codes = _scale(f, a[0], b[:out_len])
+            codes = b[:out_len] if a[0] == 1 else _scale(f, a[0], b[:out_len])
         elif len(b) == 1:
-            codes = _scale(f, b[0], a[:out_len])
+            codes = a[:out_len] if b[0] == 1 else _scale(f, b[0], a[:out_len])
         elif f.e == 1:
             codes = _conv_prime(f.p, a, b, out_len)
         else:
@@ -314,10 +329,12 @@ class LaurentSeries:
             return from_codes(f, 0, [1], self.prec)
         p = f.p
         if n % p == 0:
-            # s^p is a Frobenius, c_i t^i -> c_i^p t^(p*i), one pass; its
-            # precision is the N + (p-1)v that repeated multiplication gives
-            out = [0] * (p * len(self._c))
-            out[::p] = [f.power(c, p) for c in self._c]
+            # s^p is a Frobenius, c_i t^i -> c_i^p t^(p*i), one pass over the
+            # terms that land below its precision, the N + (p-1)v that
+            # repeated multiplication gives; c^p = c on F_p
+            a = self._c[: -(-(self.prec - self.v0) // p)]
+            out = [0] * (p * len(a))
+            out[::p] = a if f.e == 1 else [f.power(c, p) for c in a]
             prec = self.prec + (p - 1) * self.v0
             return from_codes(f, p * self.v0, out, prec) ** (n // p)
         result = None
@@ -332,8 +349,12 @@ class LaurentSeries:
 
     def derivative(self):
         f = self.field
-        mul, p, v0 = f.mul, f.p, self.v0
-        out = [mul(c, (v0 + i) % p) for i, c in enumerate(self._c)]
+        p, v0 = f.p, self.v0
+        if f.e == 1:
+            out = [c * (v0 + i) % p for i, c in enumerate(self._c)]
+        else:
+            mul = f.mul
+            out = [mul(c, (v0 + i) % p) for i, c in enumerate(self._c)]
         return from_codes(f, v0 - 1, out, self.prec - 1)
 
     def pth_root(self):
@@ -346,6 +367,8 @@ class LaurentSeries:
             return from_codes(f, prec, [], prec)
         if v0 % p or any(c for i, c in enumerate(a) if i % p):
             return None
+        if f.e == 1:
+            return from_codes(f, v0 // p, a[::p], prec)  # c^(1/p) = c on F_p
         root = p ** (f.e - 1)  # c^(1/p) = c^(p^(e-1))
         return from_codes(f, v0 // p, [f.power(c, root) for c in a[::p]], prec)
 

@@ -21,6 +21,13 @@ def check_domain(p, d):
         raise ValueError("need p >= 3")
     if d < 2:
         raise ValueError("need d >= 2: for d = 1 the model is rational")
+    gf.check_field(p)
+
+
+def plane_genus(n):
+    """Genus of a smooth plane curve of degree n, as the model of degree
+    n = d*p is."""
+    return (n - 1) * (n - 2) // 2
 
 
 class PlanarTangoCurve:
@@ -46,7 +53,7 @@ class PlanarTangoCurve:
         )
 
     def genus(self):
-        return (self.n - 1) * (self.n - 2) // 2
+        return plane_genus(self.n)
 
     def genus_cross_validated(self, prec=None):
         """Genus, with the degree formula checked against the series

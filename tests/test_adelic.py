@@ -222,6 +222,63 @@ def test_lift_evaluates_no_zero_polynomial(monkeypatch):
     assert zero_polys == []
 
 
+def point_dependent_presentation():
+    # y = a*b^3 solves b where a does not vanish; where it does, z = b^3
+    # solves b and the equation for y is only verified
+    S = ChartAlgebra(K, ("a", "b"), [])
+    T = ChartAlgebra(K, ("x", "y", "z"), [])
+    images = {v: parse_poly(img, S.vars, K)
+              for v, img in (("x", "a^3"), ("y", "a*b^3"), ("z", "b^3"))}
+    return T, lambda: QuotientPresentation(S, T, images)
+
+
+def _lift_or_error(point, pres):
+    try:
+        return lift_point(point, pres).to_json()
+    except (NoLift, UnsupportedPresentation) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_lift_steps_depend_on_the_point():
+    T, build = point_dependent_presentation()
+    t = LaurentSeries.t_power(F3, 1, N)
+    zero = LaurentSeries.zero(F3, N)
+    a, b = t, t + t * t
+    points = [make_point(T, coords, N) for coords in (
+        {"x": a**3, "y": a * b**3, "z": b**3},
+        {"x": zero, "y": zero, "z": b**3},
+        {"x": t, "y": a * b**3, "z": b**3},
+        {"x": zero, "y": t, "z": b**3},
+        {"x": a**3, "y": a * t, "z": b**3},
+    )]
+    fresh = [_lift_or_error(pt, build()) for pt in points]
+    # the terms of a and b, to the precision the roots leave
+    assert [fresh[0][v].split("O(")[0] for v in "ab"] == ["t + ", "t + t^2 + "]
+    assert [fresh[1][v].split("O(")[0] for v in "ab"] == ["", "t + t^2 + "]
+    assert fresh[2] == "NoLift: x: series for a requires a p-th root that does not exist"
+    assert fresh[3] == "NoLift: y: lift verification failed"
+    assert fresh[4] == "NoLift: y: series for b requires a p-th root that does not exist"
+    # one presentation for every point, in either order, keeps its steps
+    # per assigned set: the same lifts and errors
+    for order in (points, points[::-1]):
+        shared = build()
+        got = [_lift_or_error(pt, shared) for pt in order]
+        assert got == [fresh[points.index(pt)] for pt in order]
+
+
+def test_lift_cannot_isolate_in_a_sum_of_powers():
+    S = ChartAlgebra(K, ("u", "v"), [])
+    T = ChartAlgebra(K, ("x", "y"), [])
+    pres = QuotientPresentation(S, T, {"x": parse_poly("u^3 + v^3", S.vars, K),
+                                       "y": parse_poly("u^3 - v^3", S.vars, K)})
+    t3 = LaurentSeries.t_power(F3, 3, N)
+    pt = make_point(T, {"x": t3, "y": t3}, N)
+    for _ in range(2):  # the second call reads the memo
+        with pytest.raises(UnsupportedPresentation,
+                           match="cannot isolate a source variable in the equation for x"):
+            lift_point(pt, pres)
+
+
 def test_random_points_live_on_chart_and_bias_works():
     rng = random.Random(53)
     C = raynaud_chart()

@@ -220,6 +220,10 @@ GOLDEN = [
     # a factorization degree bound (137) above 3p
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
      "738ee20d82453599110af6e0c072e74f7931bd8db696873d9b7d5a529eaf4e32"),
+    # at p = 17 (p-1)^2 >= 256, so series products take two-byte slots;
+    # the trial log prints every sampled and lifted point
+    ("equiv-check --p 17 --d 2 --trials 50 --seed 1 --verbose --json",
+     "5a818ed3850e471e763e17ff5f404917bfadc2140887983e5a52a2ab61834546"),
     # recorded before series.evaluate became the one substitution of series
     # into chart polynomials: trial logs print every sampled and lifted
     # point, the ledger derives degN = dp - 3 (7 here), and star counts and

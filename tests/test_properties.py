@@ -259,6 +259,94 @@ def test_series_pth_root_inverts_the_pth_power(data):
         assert (s**p + LaurentSeries.t_power(field, k, k + 1)).pth_root() is None
 
 
+# the prime-field kernels across the code range: one-byte codes (F_3,
+# F_251) and two-byte codes (F_257, F_65521), in products of up to about
+# 300 terms, whose Kronecker slots hold 1 to 5 bytes of value
+PRIME_FIELDS = [gf.Field(p) for p in (3, 251, 257, 65521)]
+prime_fields = st.sampled_from(PRIME_FIELDS)
+
+
+@st.composite
+def long_series(draw, field, max_len=300):
+    """A series over a prime field with up to max_len codes, either all
+    p-1 (the largest products) or read from drawn bytes, known from below
+    its last term to a little past it."""
+    p = field.p
+    v0 = draw(st.integers(-3, 3))
+    n = draw(st.integers(0, max_len))
+    if draw(st.booleans()):
+        codes = [p - 1] * n
+    else:
+        raw = draw(st.binary(min_size=2 * n, max_size=2 * n))
+        codes = [int.from_bytes(raw[i : i + 2], "little") % p for i in range(0, 2 * n, 2)]
+    return from_codes(field, v0, codes, v0 + n + draw(st.integers(-2, 4)))
+
+
+def _codes(s):
+    return [c.n for c in s.coeffs]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_prime_series_mul_is_schoolbook_convolution(data):
+    field = data.draw(prime_fields)
+    p = field.p
+    a, b = data.draw(long_series(field)), data.draw(long_series(field))
+    ca, cb = _codes(a), _codes(b)
+    full = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            full[i + j] += x * y
+    prec = min(a.prec + b.v0, b.prec + a.v0)
+    assert a * b == from_codes(field, a.v0 + b.v0, [c % p for c in full], prec)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_prime_series_add_neg_derivative_match_elements(data):
+    field = data.draw(prime_fields)
+    a, b = data.draw(long_series(field)), data.draw(long_series(field))
+    prec = min(a.prec, b.prec)
+    total, diff = a + b, a - b
+    assert total.prec == diff.prec == prec
+    for k in range(min(a.v0, b.v0), prec):
+        assert total.coeff(k) == a.coeff(k) + b.coeff(k)
+        assert diff.coeff(k) == a.coeff(k) - b.coeff(k)
+    neg, d = -a, a.derivative()
+    assert (neg.prec, d.prec) == (a.prec, a.prec - 1)
+    for k in range(a.v0, a.prec):
+        assert neg.coeff(k) == -a.coeff(k)
+        assert d.coeff(k - 1) == a.coeff(k) * field.from_int(k)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_prime_series_frobenius_and_pth_root_match_elements(data):
+    field = data.draw(prime_fields)
+    p, zero = field.p, field.zero()
+    s = data.draw(long_series(field))
+    f = s**p
+    assert f.prec == s.prec + (p - 1) * s.v0
+    want = {p * k: c**p for k, c in enumerate(s.coeffs, s.v0) if c and p * k < f.prec}
+    assert {k: c for k, c in enumerate(f.coeffs, f.v0) if c} == want
+    # a series with terms at multiples of p only: its root is termwise
+    codes = _codes(s)[: -(-300 // p)]
+    spread = [0] * (p * len(codes))
+    spread[::p] = codes
+    v0 = p * data.draw(st.integers(-1, 1))
+    t = from_codes(field, v0, spread, v0 + len(spread) + data.draw(st.integers(-2, 4)))
+    r = t.pth_root()
+    assert r.prec == -(-t.prec // p)
+    for k in range(t.v0 if t.coeffs else t.prec, t.prec):
+        if k % p == 0:
+            assert r.coeff(k // p) == gf.pth_root(t.coeff(k))
+        else:
+            assert t.coeff(k) == zero
+    if t.coeffs:
+        off = t + LaurentSeries.t_power(field, t.v0 + 1, t.v0 + 2)
+        assert off.prec <= t.v0 + 1 or off.pth_root() is None
+
+
 F5 = gf.Field(5)
 
 
