@@ -122,8 +122,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -811,15 +812,27 @@ class ChartAlgebra:
             e[rel.index] < rel.degree for rel in self.relations for e in f.terms
         )
 
-    def reduced_monomials(self, max_total):
-        """Exponent tuples of normal-form monomials with total degree <= max_total."""
+    def _caps(self, max_total):
         caps = [max_total] * len(self.vars)
         for rel in self.relations:
             caps[rel.index] = min(rel.degree - 1, max_total)
+        return caps
+
+    def count_reduced_monomials(self, max_total):
+        """len(self.reduced_monomials(max_total)), without building them."""
+        # by_total[s]: how many exponent tails have total s
+        by_total = [1] + [0] * max_total
+        for cap in self._caps(max_total):
+            by_total = [sum(by_total[s - k] for k in range(min(cap, s) + 1))
+                        for s in range(max_total + 1)]
+        return sum(by_total)
+
+    def reduced_monomials(self, max_total):
+        """Exponent tuples of normal-form monomials with total degree <= max_total."""
         # by_total[s]: the exponent tails over the variables from i on with
         # total s, lex ascending; built from the last variable backwards
         by_total = [[()]] + [[] for _ in range(max_total)]
-        for cap in reversed(caps):
+        for cap in reversed(self._caps(max_total)):
             by_total = [
                 [(k,) + tail for k in range(min(cap, s) + 1) for tail in by_total[s - k]]
                 for s in range(max_total + 1)

@@ -21,7 +21,14 @@ from . import gf, raynaud, tango
 from .algebra import ChartAlgebra, FunField, parse_poly
 from .differentials import OneForm, reduce_form
 from .descent import NoDescent, descend_algebra
-from .foliation import Derivation, is_p_closed_rank1, kernel_of_form, p_power, pairing
+from .foliation import (
+    Derivation,
+    MonomialBudgetExceeded,
+    is_p_closed_rank1,
+    kernel_of_form,
+    p_power,
+    pairing,
+)
 from .series import DivisionByZeroSeries, PrecisionExhausted, evaluate
 from .adelic import (
     descend_and_factor,
@@ -419,6 +426,11 @@ def cmd_pipeline(p, d, seed=0, trials=200, precision=64, q=None, verbose=False):
         descended = descend_and_factor(ch, D)
     except NoDescent as e:
         rep.add("descent/model-and-derivation", FAIL, error=str(e))
+        return rep
+    except MonomialBudgetExceeded as e:
+        rep.add("quotient/constants-generated", INCONCLUSIVE, reason=str(e),
+                degree_bound=e.degree_bound, monomials_needed=e.monomials_needed,
+                budget=e.budget)
         return rep
     rep.extend("quotient", cmd_quotient(p, d, q=q, descended=descended))
     if rep.status == FAIL:

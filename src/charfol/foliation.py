@@ -20,6 +20,25 @@ class DegreeBoundTooSmall(RuntimeError):
     pass
 
 
+# the most reduced monomials ring_of_constants builds and applies D to. On
+# the raynaud-local models, the pairs (43,2), (47,2) and (59,3) need 819,025,
+# 1,172,889 and 1,893,379 at their factorization bounds; (61,2) needs
+# 3,356,224
+MONOMIAL_BUDGET = 2_000_000
+
+
+class MonomialBudgetExceeded(RuntimeError):
+    """More reduced monomials up to the degree bound than MONOMIAL_BUDGET."""
+
+    def __init__(self, degree_bound, monomials_needed, budget):
+        super().__init__(
+            f"the ring of constants up to degree {degree_bound} needs "
+            f"{monomials_needed} reduced monomials, over the budget of {budget}")
+        self.degree_bound = degree_bound
+        self.monomials_needed = monomials_needed
+        self.budget = budget
+
+
 class Derivation:
     __slots__ = ("chart", "coeffs")
 
@@ -235,15 +254,25 @@ def ring_of_constants(D, max_total):
     rule, D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each D(x_i),
     scaled by e_i mod p and shifted by e - 1_i. Only a sum with an exponent
     at or above a relation's degree is put in normal form.
+
+    A monomial with a zero image is a constant by itself. An image that
+    shares no monomial with any other is independent of all of them, so it
+    is in no dependency; only the remaining, coupled images are spanned.
+    Raises MonomialBudgetExceeded, before building any monomial, when there
+    are more than MONOMIAL_BUDGET of them.
     """
     chart = D.chart
     domain = chart.domain
     p = domain.p
+    needed = chart.count_reduced_monomials(max_total)
+    if needed > MONOMIAL_BUDGET:
+        raise MonomialBudgetExceeded(max_total, needed, MONOMIAL_BUDGET)
     monos = chart.reduced_monomials(max_total)
     degrees = [(rel.index, rel.degree) for rel in chart.relations]
     images = [g.terms for g in D.coeffs]
     scaled = {}  # (i, k) -> the terms of k * D(x_i)
     vectors = []
+    holders = {}  # monomial -> how many images hold it
     for e in monos:
         terms = {}
         for i, k in enumerate(e):
@@ -266,12 +295,24 @@ def ring_of_constants(D, max_total):
         if any(e2[i] >= d for e2 in terms for i, d in degrees):
             terms = chart.nf(MultiPoly(domain, chart.vars, terms)).terms
         vectors.append(terms)
+        for e2 in terms:
+            holders[e2] = holders.get(e2, 0) + 1
+    coupled = [i for i, terms in enumerate(vectors)
+               if any(holders[e2] > 1 for e2 in terms)]
+    # kernel_basis gives the dependent vector itself the int 1; its index is
+    # the largest in the relation, so relations come in the order of it
+    relations = {
+        coupled[max(rel)]: {coupled[j]: c for j, c in rel.items()}
+        for rel in kernel_basis([vectors[i] for i in coupled])
+    }
     out = []
-    for rel in kernel_basis(vectors):
-        # kernel_basis gives the dependent vector itself the int 1
-        terms = {monos[i]: domain.from_int(c) if isinstance(c, int) else c
-                 for i, c in rel.items()}
-        out.append(MultiPoly(domain, chart.vars, terms))
+    for i, terms in enumerate(vectors):
+        rel = {i: 1} if not terms else relations.get(i)
+        if rel is None:
+            continue
+        out.append(MultiPoly(domain, chart.vars, {
+            monos[j]: domain.from_int(c) if isinstance(c, int) else c
+            for j, c in rel.items()}))
     return out
 
 
@@ -386,16 +427,21 @@ def frobenius_factorization_check(D):
     constants = ring_of_constants(D, bound)
 
     gens = []
+    last = 0  # the index of the last accepted generator
     _, tracker, dependencies = _generator_monomials(chart, gens, bound)
-    for cand in constants:
+    for k, cand in enumerate(constants):
         if cand.degree() == 0:
             continue
         residual, _ = tracker.reduce(cand.terms)
         if not residual:
             continue
         gens.append(cand)
+        last = k
         _, tracker, dependencies = _generator_monomials(chart, gens, bound)
-    generated = all(not tracker.reduce(c.terms)[0] for c in constants)
+    # every later constant reduced to zero on this final tracker already, and
+    # a constant of degree 0 is a multiple of the product 1 it starts from
+    generated = all(not tracker.reduce(c.terms)[0]
+                    for c in constants[:last] if c.degree() > 0)
 
     names = []
     counter = 1

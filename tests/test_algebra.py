@@ -101,9 +101,35 @@ def test_chart_normal_form_fixpoint():
     C = ChartAlgebra(K, ("x", "y"), [(parse_poly("y^3 - y - x^5", ("x", "y"), K), "y")])
     f = C.poly("y^7 + x*y^4")
     g = C.nf(f)
-    assert C.nf(g) == g
+    assert C.nf(g) is g
     assert C.is_reduced(g)
     assert g.deg_in("y") < 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+def test_power_builds_no_product_past_the_result(n, monkeypatch):
+    x = MultiPoly.variable(K, ("x",), "x")
+    degrees = []
+    mul = MultiPoly.__mul__
+
+    def recording(self, other):
+        out = mul(self, other)
+        degrees.append(out.degree())
+        return out
+
+    monkeypatch.setattr(MultiPoly, "__mul__", recording)
+    assert x**n == MultiPoly(K, ("x",), {(n,): K.one()})
+    # square-and-multiply: the last square is the one the result needs
+    assert max(degrees) == n
+
+
+@pytest.mark.parametrize("max_total", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("rels", [[], [("z^2 - y^3 - x", "z")],
+                                  [("y^2 - x", "y"), ("z^3 - y*z - x", "z")]])
+def test_count_reduced_monomials_matches_the_list(rels, max_total):
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(F3, vars, [(parse_poly(r, vars, F3), v) for r, v in rels])
+    assert C.count_reduced_monomials(max_total) == len(C.reduced_monomials(max_total))
 
 
 def test_reduced_monomials_grlex_ascending():

@@ -533,3 +533,41 @@ def test_runtime_errors_end_in_an_inconclusive_report(monkeypatch, error, reason
     code, out = run(["quotient", "--p", "3", "--d", "2"])
     assert code == 1
     assert f"reason={reason}" in out
+
+
+def test_monomial_budget_ends_in_an_inconclusive_report(monkeypatch):
+    # the raynaud-local model at (5,2) factors at degree bound 15, where it
+    # has 256 reduced monomials
+    monkeypatch.setattr(foliation, "MONOMIAL_BUDGET", 255)
+    built = []
+    reduced_monomials = algebra.ChartAlgebra.reduced_monomials
+
+    def recording(self, max_total):
+        built.append(max_total)
+        return reduced_monomials(self, max_total)
+
+    monkeypatch.setattr(algebra.ChartAlgebra, "reduced_monomials", recording)
+    code, out = run(["pipeline", "--p", "5", "--d", "2", "--trials", "5", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == []
+    check = rep["checks"][-1]
+    assert check["name"] == "quotient/constants-generated"
+    assert check["status"] == "inconclusive"
+    assert {k: check["values"][k] for k in ("degree_bound", "monomials_needed", "budget")} \
+        == {"degree_bound": 15, "monomials_needed": 256, "budget": 255}
+    # the budget is checked before a single monomial is built
+    assert built == []
+    # the other subcommands that factor end in the inconclusive error check
+    for command in ("quotient", "equiv-check"):
+        code, out = run([command, "--p", "5", "--d", "2", "--json"])
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "error" and check["status"] == "inconclusive"
+        assert check["values"]["reason"] == (
+            "MonomialBudgetExceeded: the ring of constants up to degree 15 "
+            "needs 256 reduced monomials, over the budget of 255")
+    monkeypatch.setattr(foliation, "MONOMIAL_BUDGET", 256)
+    code, out = run(["pipeline", "--p", "5", "--d", "2", "--trials", "5", "--json"])
+    assert code == 0

@@ -194,7 +194,20 @@ def _kernel_of_d(rel, var):
     return kernel_of_form(OneForm.d(C, C.var(var)))
 
 
-# every case depends on t, so ring_of_constants runs over K
+def _coupled_plane_derivation():
+    # D = y*d/dx + d/dy: a monomial x^a*y^b with a, b prime to 3 has two
+    # image terms, each shared with the image of a neighbour
+    C = ChartAlgebra(F3, ("x", "y"), [])
+    return Derivation(C, [C.var("y"), C.one()])
+
+
+def _fq_raynaud_derivation(images):
+    C = raynaud_chart(K=F3)
+    return Derivation(C, [C.poly(g) for g in images])
+
+
+# the first cases depend on t, so ring_of_constants runs over K; the presets
+# are t-free and factor over F_q, as the last cases do
 @pytest.mark.parametrize("make", [
     # a coefficient of D depends on t
     _t_plane_derivation,
@@ -202,20 +215,74 @@ def _kernel_of_d(rel, var):
     lambda: _kernel_of_d("z^3 - t^3*y^3 - t*x", "z"),
     # D = (2/t)*z*d/dx + d/dz: shifted exponents reach z^2, so images need nf
     lambda: _kernel_of_d("z^2 - y^3 - t*x", "y"),
-], ids=["t*y*d/dx + d/dy", "z^3 - t^3*y^3 - t*x", "z^2 - y^3 - t*x"])
+    # D = d/dy on z^2 = y^3 + x over F_3: every image is one monomial, and
+    # no two images share one
+    lambda: _fq_raynaud_derivation(["0", "1", "0"]),
+    _coupled_plane_derivation,
+    # every image is zero: every monomial is a constant
+    lambda: _fq_raynaud_derivation(["0", "0", "0"]),
+], ids=["t*y*d/dx + d/dy", "z^3 - t^3*y^3 - t*x", "z^2 - y^3 - t*x",
+        "F_3 d/dy on z^2 - y^3 - x", "F_3 y*d/dx + d/dy", "F_3 zero derivation"])
 def test_ring_of_constants_matches_applying_D_to_each_monomial(make):
     D = make()
     C = D.chart
     bound = 9
     monos = C.reduced_monomials(bound)
-    vectors = [D.apply(MultiPoly(K, C.vars, {e: K.one()})).terms for e in monos]
+    vectors = [D.apply(MultiPoly(C.domain, C.vars, {e: C.domain.one()})).terms
+               for e in monos]
     want = [
-        MultiPoly(K, C.vars, {monos[i]: K.from_int(c) if isinstance(c, int) else c
-                              for i, c in rel.items()})
+        MultiPoly(C.domain, C.vars, {monos[i]: C.domain.from_int(c) if isinstance(c, int) else c
+                                     for i, c in rel.items()})
         for rel in kernel_basis(vectors)
     ]
     assert len(want) > 1
     assert ring_of_constants(D, bound) == want
+
+
+def _recording_kernel_basis(monkeypatch):
+    from charfol import foliation
+
+    spanned = []
+
+    def recording(vectors):
+        spanned.append(list(vectors))
+        return kernel_basis(vectors)
+
+    monkeypatch.setattr(foliation, "kernel_basis", recording)
+    return spanned
+
+
+def test_ring_of_constants_spans_no_image_of_d_by_dy(monkeypatch):
+    from charfol.cli import preset_chart
+
+    spanned = _recording_kernel_basis(monkeypatch)
+    chart, D, _ = preset_chart("raynaud-local", 7, 4)
+    bound = 21
+    basis = ring_of_constants(D, bound)
+    # one kernel_basis call, with no vectors: D = d/dy sends each monomial to
+    # a multiple of a monomial no other image holds
+    assert spanned == [[]]
+    # the constants are the monomials whose y exponent 7 divides
+    assert [list(b.terms) for b in basis] == [
+        [e] for e in chart.reduced_monomials(bound) if e[1] % 7 == 0]
+
+
+def test_ring_of_constants_spans_exactly_the_coupled_images(monkeypatch):
+    spanned = _recording_kernel_basis(monkeypatch)
+    D = _coupled_plane_derivation()
+    C = D.chart
+    bound = 9
+    vectors = [D.apply(MultiPoly(F3, C.vars, {e: F3.one()})).terms
+               for e in C.reduced_monomials(bound)]
+    holders = {}
+    for v in vectors:
+        for e in v:
+            holders[e] = holders.get(e, 0) + 1
+    coupled = [v for v in vectors if any(holders[e] > 1 for e in v)]
+    ring_of_constants(D, bound)
+    assert spanned == [coupled]
+    # some nonzero images are lone, so the split leaves them out
+    assert 0 < len(coupled) < sum(1 for v in vectors if v)
 
 
 def test_scaled_kernel_still_pairs_to_zero():

@@ -6,7 +6,9 @@ p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
 against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
 forms (idempotent, blind to the relation ideal) and the descent p-th roots
-in K = F_q(t) and in polynomial rings over F_q and K."""
+in K = F_q(t) and in polynomial rings over F_q and K; MultiPoly one-term
+products and powers against the schoolbook double loop, over F_q with
+p in {2, 3, 5, 7}, e <= 4, and over F_q(t)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -545,3 +547,46 @@ def test_multipoly_pth_root_inverts_the_pth_power(data):
     f = data.draw(chart_polys(domain, ("x", "y"), max_exp=2))
     F = f**field.p
     assert multipoly_pth_root(F, root) == f
+
+
+# -- MultiPoly products and powers, over F_q and K = F_q(t) --
+
+POLY_DOMAINS = FIELD_GRID + [FunField(f) for f in FIELDS]
+
+
+def _schoolbook(f, g):
+    """The double loop over both term lists, zero sums dropped at the end."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_multipoly_one_term_product_is_schoolbook(data):
+    domain = data.draw(st.sampled_from(POLY_DOMAINS))
+    vars = ("x", "y", "z")
+    f = data.draw(chart_polys(domain, vars))
+    exp = data.draw(st.tuples(*[st.integers(0, 3)] * len(vars)))
+    c = data.draw(_coeffs(domain).filter(bool))
+    mono = MultiPoly(domain, vars, {exp: c})
+    for prod, want in ((f * mono, _schoolbook(f, mono)), (mono * f, _schoolbook(mono, f))):
+        # nothing cancels, and the terms keep the double loop's order
+        assert list(prod.terms.items()) == list(want.items())
+        assert len(prod.terms) == len(f.terms)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_multipoly_power_is_repeated_multiplication(data):
+    domain = data.draw(st.sampled_from(POLY_DOMAINS))
+    vars = ("x", "y")
+    f = data.draw(chart_polys(domain, vars, max_exp=2))
+    n = data.draw(st.sampled_from([0, 1, 2, 3, domain.p, 7]))
+    want = MultiPoly.constant(domain, vars, 1)
+    for _ in range(n):
+        want = MultiPoly(domain, vars, _schoolbook(want, f))
+    assert f**n == want
