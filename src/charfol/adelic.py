@@ -130,9 +130,14 @@ def pullback_form(point, form):
     return out
 
 
+def star_horizon(prec):
+    """Half the working precision: stars and lifts are checked below it."""
+    return prec // 2
+
+
 def min_star_precision(chart, sections):
-    """Smallest precision whose star horizon (half of it) reaches every term
-    a nonzero pullback of the sections can have along a drawn point.
+    """Least precision whose star_horizon reaches every term a nonzero
+    pullback of the sections can have along a drawn point.
 
     Drawn coordinates have terms up to degree top and derivatives below
     _FREE_TOP - 1 (p-th powers differentiate to 0). The coordinate that
@@ -179,9 +184,9 @@ def _require_t_free(poly, what):
 
 
 def star_condition(point, sections):
-    """True when some section pulls back to a series nonzero before half the
-    working precision."""
-    horizon = point.prec // 2
+    """True when some section pulls back to a series nonzero before the star
+    horizon of the working precision."""
+    horizon = star_horizon(point.prec)
     for w in sections:
         pb = pullback_form(point, w)
         if pb.nonzero_before(min(horizon, pb.prec)):
@@ -303,14 +308,14 @@ def lift_point(point, pres):
     unless its cofactor vanishes at this point. An equation with no
     undetermined variable left is set aside. pres.lift_step says which case
     applies. Source variables never pinned down default to 0, and every
-    equation is verified at half precision before the lift is returned.
+    equation is verified up to the star horizon before the lift is returned.
     """
     if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
     source = pres.source
     field = _base_field(source)
     N = point.prec
-    half = N // 2
+    horizon = star_horizon(N)
     assigned = {}
     known = frozenset()
     pending = list(pres.target.vars)
@@ -350,7 +355,7 @@ def lift_point(point, pres):
     for v in pres.target.vars:
         val = evaluate(pres.images[v], assigned, prec)
         diff = val - point.coords[v]
-        if diff.nonzero_before(min(half, diff.prec)):
+        if diff.nonzero_before(min(horizon, diff.prec)):
             raise NoLift(v, "lift verification failed")
     return make_point(source, assigned, prec)
 

@@ -36,6 +36,7 @@ from .adelic import (
     pullback_form,
     random_local_point,
     star_condition,
+    star_horizon,
     verify_equivalence,
 )
 
@@ -327,7 +328,7 @@ def _star_horizon_reached(rep, chart, sections, precision):
     if precision >= need:
         return True
     rep.add("star-horizon", INCONCLUSIVE,
-            reason=f"the star horizon {precision // 2} (half the precision) "
+            reason=f"the star horizon {star_horizon(precision)} (half the precision) "
                    f"ends before terms a nonzero pullback can have along "
                    f"the sampled points; use precision >= {need}",
             precision=precision, min_precision=need)
@@ -354,7 +355,7 @@ def cmd_star_check(p, d, chart="raynaud-local", q=None, trials=20, seed=0,
             stars += 1
         lhs = pullback_form(pt, dg)
         rhs = evaluate(g, pt.coords, pt.prec).derivative()
-        if (lhs - rhs).nonzero_before(min(precision // 2, lhs.prec, rhs.prec)):
+        if (lhs - rhs).nonzero_before(min(star_horizon(precision), lhs.prec, rhs.prec)):
             chain_ok = False
     # zero trials count nothing: no verdict
     rep.add("pullbacks-evaluated", PASS if trials else INCONCLUSIVE, star_true=stars,

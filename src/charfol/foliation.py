@@ -358,8 +358,8 @@ class FactorizationReport:
     """Outcome of presenting the constants of a derivation as a chart.
 
     generators: list of (name, expression on the source chart)
-    quotient:   ChartAlgebra on the generator names, or None when the found
-                relations are not triangular monic
+    quotient:   ChartAlgebra on the generator names over the source domain,
+                or None when the found relations are not triangular monic
     relations:  every linear dependence among generator monomials within the
                 degree bound, as polynomials in the generator names
     power_certificates: per source variable, x^p written in the generators
@@ -367,7 +367,6 @@ class FactorizationReport:
     """
 
     __slots__ = (
-        "source",
         "generators",
         "quotient",
         "relations",
@@ -376,8 +375,7 @@ class FactorizationReport:
         "degree_bound",
     )
 
-    def __init__(self, source, generators, quotient, relations, certs, generated, bound):
-        self.source = source
+    def __init__(self, generators, quotient, relations, certs, generated, bound):
         self.generators = generators
         self.quotient = quotient
         self.relations = relations
@@ -409,7 +407,7 @@ def frobenius_factorization_check(D):
     when some x^p is not in that span.
 
     When the chart and D are constant in t, all of this runs over F_q
-    (restrict_to_field) and the results are extended back to K.
+    (restrict_to_field); results go back to K before the quotient is built.
     """
     source = D.chart
     restricted = restrict_to_field(source, D.coeffs)
@@ -474,17 +472,11 @@ def frobenius_factorization_check(D):
             )
         certs[v] = MultiPoly(chart.domain, names, combo)
 
-    quotient = _chart_from_relations(chart, names, relations)
-    if quotient is not None and restricted is not None:
-        quotient = ChartAlgebra(
-            source.domain, names, [(extend(r.poly), r.var) for r in quotient.relations]
-        )
-
+    relations = [extend(r) for r in relations]
     return FactorizationReport(
-        source,
         [(n, extend(g)) for n, g in zip(names, gens)],
-        quotient,
-        [extend(r) for r in relations],
+        _chart_from_relations(source, names, relations),
+        relations,
         {v: extend(c) for v, c in certs.items()},
         generated,
         bound,

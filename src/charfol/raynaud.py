@@ -195,16 +195,12 @@ def ample_class_A(p, d, deg_n):
               "A": str(A), "checks": [],
               "caveat": "positivity verified against the test set {F, T, Sigma} "
               "only, not against every irreducible curve"}
-    _check(report, "A^2 = (d^2-1)*degN", A.dot(A), Fraction((d * d - 1) * deg_n))
-    _check(report, "A.T = d*degN", A.dot(T), Fraction(d * deg_n))
-    _check(report, "A.F = d-1", A.dot(F), Fraction(d - 1))
-    _check(report, "A.Sigma = p*degN", A.dot(Sigma), Fraction(p * deg_n))
-    positivity = {
-        "A^2": A.dot(A),
-        "A.T": A.dot(T),
-        "A.F": A.dot(F),
-        "A.Sigma": A.dot(Sigma),
-    }
+    positivity = {"A^2": A.dot(A), "A.T": A.dot(T), "A.F": A.dot(F),
+                  "A.Sigma": A.dot(Sigma)}
+    _check(report, "A^2 = (d^2-1)*degN", positivity["A^2"], Fraction((d * d - 1) * deg_n))
+    _check(report, "A.T = d*degN", positivity["A.T"], Fraction(d * deg_n))
+    _check(report, "A.F = d-1", positivity["A.F"], Fraction(d - 1))
+    _check(report, "A.Sigma = p*degN", positivity["A.Sigma"], Fraction(p * deg_n))
     for name, value in positivity.items():
         if value <= 0:
             raise NonPositive(f"{name} = {value} is not positive")

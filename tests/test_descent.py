@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from charfol import gf
+from charfol import descent, gf
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.descent import (
     ModelPair,
@@ -85,6 +85,20 @@ def test_descend_uniqueness_cross_path():
     _, pair2 = descend_chart("y^2 - t^6*x", ("x", "y"), "y")
     assert pair1.model.relations[0].poly == pair2.model.relations[0].poly
     assert pair1.to_json() == pair2.to_json()
+
+
+def test_descend_algebra_roots_each_coefficient_once(monkeypatch):
+    # the raynaud-local chart at (3,2): three coefficients, three roots;
+    # pth_root_K's own postcondition is the one check of each
+    roots = []
+
+    def counting(r):
+        roots.append(r)
+        return pth_root_K(r)
+
+    monkeypatch.setattr(descent, "pth_root_K", counting)
+    descend_chart("z^2 - y^3 - x", ("x", "y", "z"), "z")
+    assert len(roots) == 3
 
 
 def test_no_descent():

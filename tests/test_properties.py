@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 from charfol import gf
 from charfol._linalg import SpanTracker, kernel_basis, solve_span
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
-from charfol.descent import frobenius_K, in_Kp, multipoly_pth_root, pth_root_K
+from charfol.descent import (
+    NoDescent,
+    descend_algebra,
+    frobenius_K,
+    in_Kp,
+    multipoly_pth_root,
+    pth_root_K,
+)
 from charfol.series import LaurentSeries, from_codes
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
@@ -536,6 +543,30 @@ def test_pth_root_K_inverts_the_pth_power(data):
     assert in_Kp(r)
     assert pth_root_K(r) == s
     assert frobenius_K(pth_root_K(r)) == r
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_descend_algebra_model_pulls_back_to_the_chart(data):
+    # z^k - a*x - b with a, b in K^p: the model roots a and b, and its base
+    # change by Frobenius gives the chart back
+    K = FunField(data.draw(grid_fields))
+    p, k = K.p, data.draw(st.integers(1, 3))
+    s, u = data.draw(_coeffs(K)), data.draw(_coeffs(K))
+
+    def relation(a, b):
+        terms = {(0, k): K.one(), (1, 0): -a, (0, 0): -b}
+        return MultiPoly(K, ("x", "z"), {e: c for e, c in terms.items() if c})
+
+    rel = relation(s**p, u**p)
+    pair = descend_algebra(ChartAlgebra(K, ("x", "z"), [(rel, "z")]))
+    model_rel = pair.model.relations[0].poly
+    assert model_rel == relation(s, u)
+    assert model_rel.map_coeffs(frobenius_K) == rel
+    # s^p + t has derivative 1, so it is not in K^p
+    outside = ChartAlgebra(K, ("x", "z"), [(relation(s**p + K.gen(), u**p), "z")])
+    with pytest.raises(NoDescent):
+        descend_algebra(outside)
 
 
 @settings(deadline=None)
