@@ -29,9 +29,11 @@ def _grlex_key(exp):
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; do not store zero coefficients."""
+    """Immutable sparse polynomial; do not store zero coefficients.
+    _series, once set, holds series.evaluate's coefficient series per
+    precision."""
 
-    __slots__ = ("domain", "vars", "terms")
+    __slots__ = ("domain", "vars", "terms", "_series")
 
     def __init__(self, domain, vars, terms):
         self.domain = domain

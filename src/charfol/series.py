@@ -13,9 +13,12 @@ the codes with struct into 1-, 2-, 4- or 8-byte slots of one big integer
 (Kronecker substitution; a code fills at most 2 bytes as q <= 2^16) so a
 single native multiply does the convolution. A monomial c*t^v inverts exactly;
 longer series invert by Newton iteration, and newton solves polynomial
-equations the same way. A series never changes, so it keeps the powers
-asked of it. evaluate is the one substitution of series into a polynomial
-over F_q or F_q(t); a constant coefficient becomes its code directly.
+equations the same way. A sum or difference is one aligned pass. A series
+never changes, so it keeps the powers asked of it, its reciprocal (power -1)
+among them, and a divisor used again is inverted once. evaluate is the one
+substitution of series into a polynomial over F_q or F_q(t); a polynomial
+never changes either, so it keeps its coefficient series per precision and
+each coefficient is converted once (a constant straight to its code).
 """
 
 import struct
@@ -207,14 +210,15 @@ class LaurentSeries:
             return LaurentSeries.constant(self.field, other, self.prec)
         raise TypeError(f"cannot combine series with {other!r}")
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign*other, sign 1 or -1, in one aligned pass."""
         other = self._check(other)
         prec = min(self.prec, other.prec)
         a, b = self._c, other._c
-        if not a:
-            return other.truncate(prec)
         if not b:
             return self.truncate(prec)
+        if not a and sign == 1:
+            return other.truncate(prec)
         va, vb = self.v0, other.v0
         v0 = min(va, vb)
         top = min(prec, max(va + len(a), vb + len(b)))
@@ -225,11 +229,20 @@ class LaurentSeries:
         f = self.field
         if f.e == 1:
             p = f.p
-            out[j : j + m] = [(x + y) % p for x, y in zip(out[j : j + m], b)]
+            if sign == 1:
+                out[j : j + m] = [(x + y) % p for x, y in zip(out[j : j + m], b)]
+            else:
+                out[j : j + m] = [(x - y) % p for x, y in zip(out[j : j + m], b)]
         else:
-            add = f.add
-            out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
+            add, neg = f.add, f.neg
+            if sign == 1:
+                out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
+            else:
+                out[j : j + m] = [add(x, neg(y)) for x, y in zip(out[j : j + m], b)]
         return from_codes(f, v0, out, prec)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -243,10 +256,10 @@ class LaurentSeries:
         return from_codes(f, self.v0, out, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._check(other)._add(self, -1)
 
     def __mul__(self, other):
         other = self._check(other)
@@ -296,7 +309,9 @@ class LaurentSeries:
         other = self._check(other)
         if not other._c:
             raise DivisionByZeroSeries(f"dividing by a series that is O(t^{other.prec})")
-        out = self * other.reciprocal()
+        # other keeps its reciprocal as its power -1: a divisor used again
+        # is inverted once
+        out = self * other ** -1
         if not out._c and self._c:
             # numerator has a known valuation but no quotient coefficient survives
             raise PrecisionExhausted(
@@ -406,11 +421,29 @@ class LaurentSeries:
 def evaluate(poly, coords, prec):
     """poly, over F_q or F_q(t), at the series coords: each coefficient
     becomes a series to precision prec (from_ratfunc over F_q(t), a constant
-    over F_q). The zero polynomial gives the zero series."""
-    domain = poly.domain
-    if isinstance(domain, FunField):
-        return poly.evaluate(coords, lambda c: LaurentSeries.from_ratfunc(c, prec))
-    return poly.evaluate(coords, lambda c: LaurentSeries.constant(domain, c, prec))
+    over F_q). A polynomial never changes, so it keeps these series per
+    precision and each coefficient is converted once; they are found by the
+    coefficient's identity, as a RatFunc has no hash. The zero polynomial
+    gives the zero series."""
+    try:
+        kept = poly._series
+    except AttributeError:
+        kept = poly._series = {}
+    table = kept.get(prec)
+    if table is None:
+        domain = poly.domain
+        if isinstance(domain, FunField):
+            def convert(c):
+                return LaurentSeries.from_ratfunc(c, prec)
+        else:
+            def convert(c):
+                return LaurentSeries.constant(domain, c, prec)
+        table = kept[prec] = {id(c): convert(c) for c in poly.terms.values()}
+        if not table:
+            # the zero polynomial: MultiPoly.evaluate converts a fresh zero
+            table[None] = convert(domain.zero())
+    zero = table.get(None)
+    return poly.evaluate(coords, lambda c: table.get(id(c), zero))
 
 
 def newton(F, name, coords, w, N):

@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from charfol import _linalg, adelic, algebra, cli, descent, foliation, raynaud
+from charfol import _linalg, adelic, algebra, cli, descent, foliation, raynaud, series
 
 
 def run(argv):
@@ -114,6 +114,31 @@ def test_equiv_check_affine_plane():
     names = [c["name"] for c in rep["checks"]]
     assert "zero-counterexamples" in names
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("chart", ["raynaud-local", "affine-plane"])
+def test_equiv_check_converts_each_coefficient_once(monkeypatch, chart):
+    # every polynomial keeps its coefficient series per precision, and a
+    # divisor keeps its reciprocal: neither count grows with the trials
+    LaurentSeries = series.LaurentSeries
+    converted, inverted = [], []
+    from_ratfunc, reciprocal = LaurentSeries.from_ratfunc, LaurentSeries.reciprocal
+
+    def counting_from_ratfunc(cls, r, prec):
+        converted.append((r, prec))  # kept alive, so ids stay distinct
+        return from_ratfunc(r, prec)
+
+    def counting_reciprocal(s):
+        inverted.append(s)
+        return reciprocal(s)
+
+    monkeypatch.setattr(LaurentSeries, "from_ratfunc", classmethod(counting_from_ratfunc))
+    monkeypatch.setattr(LaurentSeries, "reciprocal", counting_reciprocal)
+    rep = cli.cmd_equiv_check(p=5, d=3, chart=chart, trials=200, seed=3)
+    assert rep.status == "pass"
+    assert converted
+    assert len({(id(r), prec) for r, prec in converted}) == len(converted)
+    assert len(inverted) <= 2
 
 
 def test_pipeline_pass_and_reject():

@@ -79,8 +79,8 @@ def test_descend_roundtrip():
     assert back == chart.relations[0].poly
 
 
-def test_descend_uniqueness_cross_path():
-    # two independent constructions of the same chart give equal models
+def test_descend_is_deterministic():
+    # two identical descend_chart calls give equal models and equal reports
     _, pair1 = descend_chart("y^2 - t^6*x", ("x", "y"), "y")
     _, pair2 = descend_chart("y^2 - t^6*x", ("x", "y"), "y")
     assert pair1.model.relations[0].poly == pair2.model.relations[0].poly

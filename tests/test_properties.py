@@ -1,14 +1,16 @@
 """Property tests: the field axioms, Frobenius and p-th roots, and series
-multiply (a one-term factor on either side too), reciprocal, powers and p-th
-roots over F_q with p in {2, 3, 5, 7}, e <= 4; series conversion of rational
-functions and RatFunc normalisation, over random F_q with q = p^e,
-p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
+multiply (a one-term factor on either side too), subtraction, reciprocal,
+division, powers and p-th roots over F_q with p in {2, 3, 5, 7}, e <= 4;
+series.evaluate against a term-by-term reference over those fields and
+F_q(t), a second call reading the kept coefficient series; series conversion
+of rational functions and RatFunc normalisation, over random F_q with
+q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
 against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
 forms (idempotent, blind to the relation ideal) and the descent p-th roots
 in K = F_q(t) and in polynomial rings over F_q and K; MultiPoly one-term
-products and powers against the schoolbook double loop, over F_q with
-p in {2, 3, 5, 7}, e <= 4, and over F_q(t)."""
+products and powers against the schoolbook double loop, over F_q with p in
+{2, 3, 5, 7}, e <= 4, and over F_q(t)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from charfol.descent import (
     multipoly_pth_root,
     pth_root_K,
 )
-from charfol.series import LaurentSeries, from_codes
+from charfol.series import DivisionByZeroSeries, LaurentSeries, evaluate, from_codes
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
 VARS = ("t",)
@@ -266,6 +268,98 @@ def test_series_pth_root_inverts_the_pth_power(data):
         # a known term off the p-th powers has no root
         k = p * s.v0 + 1
         assert (s**p + LaurentSeries.t_power(field, k, k + 1)).pth_root() is None
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_sub_matches_elements(data):
+    field = data.draw(grid_fields)
+    a, b = data.draw(series(field)), data.draw(series(field))
+    # zero operands, at their own precisions, on either side
+    for x, y in ((a, b), (LaurentSeries.zero(field, a.prec), b),
+                 (a, LaurentSeries.zero(field, b.prec))):
+        prec = min(x.prec, y.prec)
+        diff = x - y
+        assert diff.prec == prec
+        for k in range(min(x.v0, y.v0, prec), prec):
+            assert diff.coeff(k) == x.coeff(k) - y.coeff(k)
+        want = x + (-y)
+        assert (diff.v0, diff.coeffs, diff.prec) == (want.v0, want.coeffs, want.prec)
+    n = data.draw(st.integers(0, field.p - 1))
+    rsub = n - a
+    assert rsub.prec == a.prec
+    for k in range(min(a.v0, 0, a.prec), a.prec):
+        assert rsub.coeff(k) == field.from_int(n if k == 0 else 0) - a.coeff(k)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_division_is_product_with_reciprocal(data):
+    field = data.draw(grid_fields)
+    a, b = data.draw(series(field)), data.draw(series(field, nonzero=True))
+    fresh = from_codes(field, b.v0, [c.n for c in b.coeffs], b.prec)
+    want = a * fresh.reciprocal()
+    for _ in range(2):  # the second quotient reuses b's kept reciprocal
+        got = a / b
+        assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
+    if a.coeffs:
+        # a known numerator keeps its leading term: v(a) - v(b) lies below
+        # the quotient's precision
+        assert got.v0 == a.v0 - b.v0
+        assert got.coeffs[0] == a.coeffs[0] / b.coeffs[0]
+    with pytest.raises(DivisionByZeroSeries):
+        a / LaurentSeries.zero(field, b.prec)
+
+
+def _evaluate_termwise(poly, coords, P):
+    """Each coefficient converted, times fresh powers of the coordinates in
+    variable order, the terms added in order; the zero polynomial gives its
+    converted zero."""
+    domain = poly.domain
+
+    def convert(c):
+        if isinstance(domain, FunField):
+            return LaurentSeries.from_ratfunc(c, P)
+        return LaurentSeries.constant(domain, c, P)
+
+    out = None
+    for e, c in poly.terms.items():
+        term = convert(c)
+        for v, k in zip(poly.vars, e):
+            if k:
+                s = coords[v]
+                term = term * from_codes(s.field, s.v0, [x.n for x in s.coeffs], s.prec) ** k
+        out = term if out is None else out + term
+    return convert(domain.zero()) if out is None else out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_evaluate_is_termwise(data):
+    domain = data.draw(st.sampled_from(POLY_DOMAINS))
+    field = domain.field if isinstance(domain, FunField) else domain
+    vars = ("x", "y")
+    f = data.draw(chart_polys(domain, vars))
+    coords = {v: data.draw(series(field)) for v in vars}
+    precs = data.draw(st.lists(st.integers(1, 24), min_size=2, max_size=2))
+    for poly in (f, MultiPoly.zero(domain, vars)):
+        for _ in range(2):  # the second round reads the kept coefficient series
+            for P in precs:
+                got = evaluate(poly, coords, P)
+                want = _evaluate_termwise(poly, coords, P)
+                assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
+
+
+def test_series_evaluate_precision_can_exceed_the_working_precision():
+    F17 = gf.Field(17)
+    poly = parse_poly("16*y^17 + z^2", ("y", "z"), F17)
+    coords = {"y": LaurentSeries.t_power(F17, 34, 64, 14),
+              "z": LaurentSeries.t_power(F17, 34, 64, 3)}
+    for _ in range(2):
+        got = evaluate(poly, coords, 64)
+        # 16*y^17 = 3t^578 + O(t^608) lies past z^2 = 9t^68 + O(t^98)
+        assert (got.v0, got.coeffs, got.prec) == (68, [F17.from_int(9)], 98)
+        assert got == _evaluate_termwise(poly, coords, 64)
 
 
 # the prime-field kernels across the code range: one-byte codes (F_3,
