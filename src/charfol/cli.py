@@ -537,9 +537,16 @@ _DISPATCH = {
 }
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    # the parser is built on the first call and reused: parsing leaves it
+    # as it was, and an in-process caller runs main many times
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    ns = _PARSER.parse_args(argv)
     kwargs = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
     # a fallback report lists the parameters the command's own report would
     params = {k: v for k, v in kwargs.items() if k != "verbose"}

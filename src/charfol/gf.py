@@ -324,9 +324,14 @@ class FieldElement:
         self.n = n
 
     def _check(self, other):
+        """other as an element of this field; NotImplemented for an operand
+        that is neither an int nor a FieldElement, so that its reflected
+        operator (a series', say) runs."""
         if isinstance(other, int):
             return self.field.from_int(other)
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        if other.field != self.field:
             raise TypeError(f"cannot combine {self!r} with {other!r}")
         return other
 
@@ -334,6 +339,8 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             other = self._check(other)
+            if other is NotImplemented:
+                return other
         return FieldElement(f, f.add(self.n, other.n))
 
     __radd__ = __add__
@@ -342,7 +349,8 @@ class FieldElement:
         return FieldElement(self.field, self.field.neg(self.n))
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + self.field.from_int(other)
@@ -351,6 +359,8 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             other = self._check(other)
+            if other is NotImplemented:
+                return other
         return FieldElement(f, f.mul(self.n, other.n))
 
     __rmul__ = __mul__
@@ -359,7 +369,8 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv(self.n))
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        other = self._check(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.field.from_int(other) / self

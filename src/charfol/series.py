@@ -2,23 +2,29 @@
 
 A series knows its coefficients on [v0, prec) and nothing above; every
 operation propagates the pessimistic precision. Coefficients are stored as
-gf codes (ints) and combined by the gf.Field code operations and tables;
+gf codes (ints), combined inline, with no function call per code;
 FieldElements appear only at the constructor, coeffs and coeff. A product
 computes only the coefficients below both its precision and its full degree,
-so short series multiply in time set by their lengths, not by the precision,
-and a one-term factor c*t^v is one scalar pass (a copy for c = 1). Over
+so short series multiply in time set by their lengths, not by the precision;
+a one-term factor c*t^v is one scalar pass, and a factor 1*t^0 that leaves
+the precision as it is returns the other factor itself. A result that is
+normal by construction skips the rescan for leading and trailing zeros. Over
 prime fields the codes are the values mod p: +, - and d/dt reduce inline,
 Frobenius powers and p-th roots copy codes (c^p = c), and a product packs
 the codes with struct into 1-, 2-, 4- or 8-byte slots of one big integer
 (Kronecker substitution; a code fills at most 2 bytes as q <= 2^16) so a
-single native multiply does the convolution. A monomial c*t^v inverts exactly;
-longer series invert by Newton iteration, and newton solves polynomial
-equations the same way. A sum or difference is one aligned pass. A series
-never changes, so it keeps the powers asked of it, its reciprocal (power -1)
-among them, and a divisor used again is inverted once. evaluate is the one
-substitution of series into a polynomial over F_q or F_q(t); a polynomial
-never changes either, so it keeps its coefficient series per precision and
-each coefficient is converted once (a constant straight to its code).
+single native multiply does the convolution. Over F_q with e > 1 every
+kernel reads the gf.Field log, exp and Zech tables: a sum is one Zech
+lookup per code, a negation a log shift by (q-1)/2 (none for p = 2), and a
+scaling, a Frobenius power or a p-th root one list pass. A monomial c*t^v
+inverts exactly; longer series invert by Newton iteration, and newton solves
+polynomial equations the same way. A sum or difference is one aligned
+pass. A series never changes, so it keeps the powers asked of it, its
+reciprocal (power -1) among them, and a divisor used again is inverted once.
+evaluate is the one substitution of series into a polynomial over F_q or
+F_q(t); a polynomial never changes either, so it keeps its coefficient
+series per precision and each coefficient is converted once (a constant
+straight to its code).
 """
 
 import struct
@@ -90,6 +96,14 @@ def _scale(field, c, a):
     return [exp[lc + log[x]] if x else 0 for x in a]
 
 
+def _negate(field, a):
+    """The codes -x for x in a, over F_q with e > 1 and p odd: -1 is
+    g^((q-1)/2), so a negation is one log shift."""
+    log, exp = field.log, field.exp
+    h = (field.q - 1) // 2
+    return [exp[log[x] + h] if x else 0 for x in a]
+
+
 def _normal(v0, codes, prec):
     """(v0, codes) for sum codes[i] t^(v0+i) + O(t^prec), with leading zeros
     moved into v0 and the rest from prec on and trailing zeros dropped."""
@@ -97,7 +111,7 @@ def _normal(v0, codes, prec):
     i = 0
     while i < n and not codes[i]:
         i += 1
-    end = min(n, prec - v0)
+    end = prec - v0 if prec - v0 < n else n
     while end > i and not codes[end - 1]:
         end -= 1
     if end <= i:
@@ -105,14 +119,24 @@ def _normal(v0, codes, prec):
     return v0 + i, codes if i == 0 and end == n else codes[i:end]
 
 
+def _series(field, v0, codes, prec):
+    """The series sum codes[i] t^(v0+i) + O(t^prec) for codes already in
+    normal form: codes[0] and codes[-1] nonzero with v0 + len(codes) <= prec,
+    or no codes and v0 = prec. Results that are normal by construction skip
+    the rescan of _normal."""
+    s = object.__new__(LaurentSeries)
+    s.field = field
+    s.v0 = v0
+    s._c = codes
+    s.prec = prec
+    return s
+
+
 def from_codes(field, v0, codes, prec):
     """The series sum codes[i] t^(v0+i) + O(t^prec), codes a list of gf
     codes of field that the series may keep."""
-    s = object.__new__(LaurentSeries)
-    s.field = field
-    s.v0, s._c = _normal(v0, codes, prec)
-    s.prec = prec
-    return s
+    v0, codes = _normal(v0, codes, prec)
+    return _series(field, v0, codes, prec)
 
 
 class LaurentSeries:
@@ -206,27 +230,33 @@ class LaurentSeries:
             if other.field is not self.field and other.field != self.field:
                 raise TypeError("series over different fields")
             return other
-        if isinstance(other, (int, gf.FieldElement)):
+        if isinstance(other, int) or (
+                isinstance(other, gf.FieldElement) and other.field == self.field):
             return LaurentSeries.constant(self.field, other, self.prec)
         raise TypeError(f"cannot combine series with {other!r}")
 
     def _add(self, other, sign):
         """self + sign*other, sign 1 or -1, in one aligned pass."""
-        other = self._check(other)
-        prec = min(self.prec, other.prec)
-        a, b = self._c, other._c
-        if not b:
-            return self.truncate(prec)
-        if not a and sign == 1:
-            return other.truncate(prec)
-        va, vb = self.v0, other.v0
-        v0 = min(va, vb)
-        top = min(prec, max(va + len(a), vb + len(b)))
-        out = [0] * max(0, top - v0)
-        i, m = va - v0, max(0, min(len(a), top - va))
-        out[i : i + m] = a[:m]
-        j, m = vb - v0, max(0, min(len(b), top - vb))
         f = self.field
+        if other.__class__ is not LaurentSeries or other.field is not f:
+            other = self._check(other)
+        a, b, va, vb = self._c, other._c, self.v0, other.v0
+        # conditional expressions, not min and max: every sum runs this
+        prec = self.prec if self.prec < other.prec else other.prec
+        if not b or vb >= prec:
+            return self.truncate(prec)
+        if not a or va >= prec:
+            return other.truncate(prec) if sign == 1 else -other.truncate(prec)
+        v0 = va if va < vb else vb
+        ea, eb = va + len(a), vb + len(b)
+        top = ea if ea > eb else eb
+        if top > prec:
+            top = prec
+            ea = ea if ea < top else top
+            eb = eb if eb < top else top
+        out = [0] * (top - v0)
+        out[va - v0 : ea - v0] = a[: ea - va]
+        j, m = vb - v0, eb - vb
         if f.e == 1:
             p = f.p
             if sign == 1:
@@ -234,11 +264,14 @@ class LaurentSeries:
             else:
                 out[j : j + m] = [(x - y) % p for x, y in zip(out[j : j + m], b)]
         else:
-            add, neg = f.add, f.neg
-            if sign == 1:
-                out[j : j + m] = [add(x, y) for x, y in zip(out[j : j + m], b)]
-            else:
-                out[j : j + m] = [add(x, neg(y)) for x, y in zip(out[j : j + m], b)]
+            log, exp, zech = f.log, f.exp, f.zech
+            if sign == -1 and f.p != 2:
+                b = _negate(f, b[:m])
+            # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
+            out[j : j + m] = [
+                y if not x else x if not y
+                else exp[lx + z] if (z := zech[log[y] - (lx := log[x])]) >= 0 else 0
+                for x, y in zip(out[j : j + m], b)]
         return from_codes(f, v0, out, prec)
 
     def __add__(self, other):
@@ -248,12 +281,14 @@ class LaurentSeries:
 
     def __neg__(self):
         f = self.field
+        if f.p == 2:
+            return self  # -1 = 1
         if f.e == 1:
             p = f.p
             out = [-c % p for c in self._c]
         else:
-            out = [f.neg(c) for c in self._c]
-        return from_codes(f, self.v0, out, self.prec)
+            out = _negate(f, self._c)
+        return _series(f, self.v0, out, self.prec)
 
     def __sub__(self, other):
         return self._add(other, -1)
@@ -262,15 +297,26 @@ class LaurentSeries:
         return self._check(other)._add(self, -1)
 
     def __mul__(self, other):
-        other = self._check(other)
         f = self.field
+        if other.__class__ is not LaurentSeries or other.field is not f:
+            other = self._check(other)
         a, b = self._c, other._c
         va, vb = self.v0, other.v0
-        prec = min(self.prec + vb, other.prec + va)
+        prec = self.prec + vb
+        if other.prec + va < prec:
+            prec = other.prec + va
         # coefficients above the full product's degree are known zeros
-        out_len = min(prec - (va + vb), len(a) + len(b) - 1)
+        out_len = prec - (va + vb)
+        if out_len >= len(a) + len(b):
+            out_len = len(a) + len(b) - 1
         if not a or not b or out_len <= 0:
-            return from_codes(f, prec, [], prec)
+            return _series(f, prec, [], prec)
+        # a factor 1*t^0 that leaves the precision as it is: the other
+        # factor is the product, and series never change
+        if len(a) == 1 and a[0] == 1 and not va and prec == other.prec:
+            return other
+        if len(b) == 1 and b[0] == 1 and not vb and prec == self.prec:
+            return self
         if len(a) == 1:
             codes = b[:out_len] if a[0] == 1 else _scale(f, a[0], b[:out_len])
         elif len(b) == 1:
@@ -279,6 +325,10 @@ class LaurentSeries:
             codes = _conv_prime(f.p, a, b, out_len)
         else:
             codes = _conv_generic(f, a, b, out_len)
+        # the leading code is a product of nonzero codes; only the cut at
+        # out_len can leave trailing zeros, and _normal copies them away
+        if codes[-1]:
+            return _series(f, va + vb, codes, prec)
         return from_codes(f, va + vb, codes, prec)
 
     __rmul__ = __mul__
@@ -294,7 +344,7 @@ class LaurentSeries:
         inv0 = [f.inv(a[0])]
         if len(a) == 1:
             # a monomial c*t^v inverts exactly; Newton converges to the same
-            return from_codes(f, -self.v0, inv0, self.prec - 2 * self.v0)
+            return _series(f, -self.v0, inv0, self.prec - 2 * self.v0)
         u = from_codes(f, 0, a, m)  # unit part, relative precision m
         r = from_codes(f, 0, inv0, 1)
         k = 1
@@ -323,8 +373,9 @@ class LaurentSeries:
         return self._check(other) / self
 
     def __pow__(self, n):
-        # a series never changes, so it keeps every power asked of it; s**1
-        # is s itself and stays out of the memo, which would make a cycle
+        # a series never changes, so it keeps every power asked of it. A
+        # power that is s itself would make a cycle: s**1 stays out of the
+        # memo, and a power of 1*t^0 (a product returns s) is kept as None
         if n == 1:
             return self
         try:
@@ -333,7 +384,10 @@ class LaurentSeries:
             memo = self._powers = {}
         got = memo.get(n)
         if got is None:
-            got = memo[n] = self._power(n)
+            if n in memo:
+                return self
+            got = self._power(n)
+            memo[n] = None if got is self else got
         return got
 
     def _power(self, n):
@@ -348,10 +402,16 @@ class LaurentSeries:
             # terms that land below its precision, the N + (p-1)v that
             # repeated multiplication gives; c^p = c on F_p
             a = self._c[: -(-(self.prec - self.v0) // p)]
-            out = [0] * (p * len(a))
-            out[::p] = a if f.e == 1 else [f.power(c, p) for c in a]
+            # the cut can leave trailing zeros; c^p is nonzero for c nonzero
+            while a and not a[-1]:
+                a.pop()
+            if f.e > 1:
+                log, exp, q1 = f.log, f.exp, f.q - 1
+                a = [exp[log[c] * p % q1] if c else 0 for c in a]
+            out = [0] * (p * (len(a) - 1) + 1)  # [] for the zero series
+            out[::p] = a
             prec = self.prec + (p - 1) * self.v0
-            return from_codes(f, p * self.v0, out, prec) ** (n // p)
+            return _series(f, p * self.v0, out, prec) ** (n // p)
         result = None
         base = self
         while n:
@@ -368,8 +428,10 @@ class LaurentSeries:
         if f.e == 1:
             out = [c * (v0 + i) % p for i, c in enumerate(self._c)]
         else:
-            mul = f.mul
-            out = [mul(c, (v0 + i) % p) for i, c in enumerate(self._c)]
+            # k = (v0 + i) mod p is the code of k in F_p, and log[0] = -1
+            log, exp = f.log, f.exp
+            out = [exp[log[c] + lk] if c and (lk := log[(v0 + i) % p]) >= 0 else 0
+                   for i, c in enumerate(self._c)]
         return from_codes(f, v0 - 1, out, self.prec - 1)
 
     def pth_root(self):
@@ -379,13 +441,17 @@ class LaurentSeries:
         prec = -(-self.prec // p)
         a, v0 = self._c, self.v0
         if not a:
-            return from_codes(f, prec, [], prec)
-        if v0 % p or any(c for i, c in enumerate(a) if i % p):
+            return _series(f, prec, [], prec)
+        if v0 % p or any(any(a[r::p]) for r in range(1, p)):
             return None
+        # a's last code is nonzero, so its exponent is a multiple of p and
+        # a[::p] is normal
         if f.e == 1:
-            return from_codes(f, v0 // p, a[::p], prec)  # c^(1/p) = c on F_p
-        root = p ** (f.e - 1)  # c^(1/p) = c^(p^(e-1))
-        return from_codes(f, v0 // p, [f.power(c, root) for c in a[::p]], prec)
+            return _series(f, v0 // p, a[::p], prec)  # c^(1/p) = c on F_p
+        log, exp = f.log, f.exp
+        root, q1 = p ** (f.e - 1), f.q - 1  # c^(1/p) = c^(p^(e-1))
+        return _series(f, v0 // p, [exp[log[c] * root % q1] if c else 0 for c in a[::p]],
+                       prec)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

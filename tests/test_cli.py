@@ -206,6 +206,31 @@ def test_pipeline_json_deterministic():
     assert a == b
 
 
+def test_parser_is_built_once_and_survives_a_bad_call(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    first = ["equiv-check", "--p", "3", "--d", "2", "--trials", "10", "--seed", "3", "--json"]
+    second = ["raynaud-ledger", "--p", "5", "--d", "2", "--json"]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    got = [run(first)]
+    with pytest.raises(SystemExit) as info:
+        run(["equiv-check", "--p", "3", "--d", "2", "--trials", "-1", "--json"])
+    assert info.value.code == 2
+    got.append(run(second))
+    assert len(built) == 1
+    fresh = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert got == fresh
+
+
 # sha256 of the JSON reports, recorded before the pipeline built each stage
 # once; the stage chain must reproduce them byte for byte. The three pipeline
 # digests and the raynaud-ledger one were recorded again when the ledgers
@@ -259,6 +284,13 @@ GOLDEN = [
      "43a394f3b4caee69c22a421dedcd887b973f6f8083a779ec2dd7c0467e9414c5"),
     ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",
      "280eaf36fc76e3f8f9055fd0f76a4b75efebf310f42c45da1acb5c584d62756a"),
+    # the extension-field series kernels outside F_25, recorded before they
+    # ran inline on the log and Zech tables: p = 7, where -1 = g^24 in F_49,
+    # and e = 3 (98 lifts, 102 non-lifts)
+    ("equiv-check --p 7 --d 4 --q 49 --trials 200 --seed 1 --json",
+     "7b77e10c479fec06e5071e1160f1383f08bfa17f1e910d115c84d585b9b54fa1"),
+    ("equiv-check --p 3 --d 2 --q 27 --trials 200 --seed 1 --json",
+     "80b8ee15f929c802be5fd5a1e57e0d8c1fb171e6a939c52b6195d7e218dbc158"),
 ]
 
 

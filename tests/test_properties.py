@@ -1,6 +1,8 @@
 """Property tests: the field axioms, Frobenius and p-th roots, and series
-multiply (a one-term factor on either side too), subtraction, reciprocal,
-division, powers and p-th roots over F_q with p in {2, 3, 5, 7}, e <= 4;
+multiply (a one-term factor on either side too), sums, subtraction,
+negation, d/dt, reciprocal, division, powers and p-th roots over F_q with
+p in {2, 3, 5, 7}, e <= 4, each result in normal form, and field elements
+combined with series from either side;
 series.evaluate against a term-by-term reference over those fields and
 F_q(t), a second call reading the kept coefficient series; series conversion
 of rational functions and RatFunc normalisation, over random F_q with
@@ -11,6 +13,8 @@ forms (idempotent, blind to the relation ideal) and the descent p-th roots
 in K = F_q(t) and in polynomial rings over F_q and K; MultiPoly one-term
 products and powers against the schoolbook double loop, over F_q with p in
 {2, 3, 5, 7}, e <= 4, and over F_q(t)."""
+
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +160,18 @@ def series(draw, field, max_len=8, nonzero=False):
     return LaurentSeries(field, v0, coeffs, prec)
 
 
+def _assert_normal(s):
+    """The normal form of every series result: the first and last codes are
+    nonzero and v0 + len(codes) <= prec, or there are no codes and v0 = prec.
+    Returns s."""
+    codes = s._c
+    if codes:
+        assert codes[0] and codes[-1] and s.v0 + len(codes) <= s.prec, (s.v0, codes, s.prec)
+    else:
+        assert s.v0 == s.prec, (s.v0, s.prec)
+    return s
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_series_mul_is_schoolbook_convolution(data):
@@ -171,6 +187,15 @@ def test_series_mul_by_one_term_is_schoolbook_convolution(data):
     m = data.draw(series(field, max_len=1, nonzero=True))
     _check_schoolbook(field, m, s)
     _check_schoolbook(field, s, m)
+    # a factor 1*t^0 that leaves the precision as it is returns the other
+    # factor itself (the right one when both are such factors)
+    one = LaurentSeries.constant(field, 1, data.draw(st.integers(s.prec - s.v0, s.prec + 4)))
+    if s.coeffs and one.prec + s.v0 >= s.prec:
+        assert one * s is s and s * one is (one if s == one else s)
+        # its powers prime to p are itself too, and its memo holds no
+        # reference to itself, which would be a cycle
+        assert one ** (field.p + 1) is one
+        assert all(v is not one for v in getattr(one, "_powers", {}).values())
 
 
 def _check_schoolbook(field, a, b):
@@ -183,7 +208,7 @@ def _check_schoolbook(field, a, b):
             k = a.v0 + b.v0 + i + j
             full[k] = full.get(k, field.zero()) + x * y
     known = sorted(k for k, c in full.items() if c and k < prec)
-    prod = a * b
+    prod = _assert_normal(a * b)
     assert prod.prec == prec
     if not known:
         assert prod.coeffs == [] and prod.v0 == prec
@@ -200,7 +225,8 @@ def test_series_reciprocal_times_series_is_one(data):
     s = data.draw(series(field, nonzero=True))
     # known to s's relative precision: 1 + O(t^(prec - v0))
     rel = s.prec - s.v0
-    assert s.reciprocal() * s == LaurentSeries.constant(field, 1, rel)
+    r = _assert_normal(s.reciprocal())
+    assert _assert_normal(r * s) == LaurentSeries.constant(field, 1, rel)
 
 
 @settings(deadline=None)
@@ -210,7 +236,7 @@ def test_series_monomial_inverts_exactly(data):
     c = data.draw(_elements(field, nonzero=True))
     v = data.draw(st.integers(-3, 3))
     P = v + data.draw(st.integers(1, 12))
-    r = LaurentSeries(field, v, [c], P).reciprocal()
+    r = _assert_normal(LaurentSeries(field, v, [c], P).reciprocal())
     assert (r.v0, r.coeffs, r.prec) == (-v, [c.inverse()], P - 2 * v)
 
 
@@ -226,7 +252,7 @@ def test_series_power_divisible_by_p_is_repeated_multiplication(data):
         ref = base
         for _ in range(n - 1):
             ref = ref * base
-        got = base**n
+        got = _assert_normal(base**n)
         assert (got.v0, got.coeffs, got.prec) == (ref.v0, ref.coeffs, ref.prec)
 
 
@@ -242,7 +268,7 @@ def test_series_memoized_powers_match_a_fresh_copy(data):
     def check(base):
         for _ in range(2):  # the second round reads the memo
             for n in exps:
-                got = base**n
+                got = _assert_normal(base**n)
                 fresh = from_codes(field, base.v0, [c.n for c in base.coeffs], base.prec)
                 want = fresh**n
                 assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
@@ -261,7 +287,7 @@ def test_series_pth_root_inverts_the_pth_power(data):
     field = data.draw(grid_fields)
     p = field.p
     s = data.draw(series(field))
-    r = (s**p).pth_root()
+    r = _assert_normal(_assert_normal(s**p).pth_root())
     # s^p is known to prec + (p-1)v, so its root to at most s's precision
     assert r.prec <= s.prec and r == s.truncate(r.prec)
     if s.coeffs and s.prec > s.v0 + 1:
@@ -279,17 +305,50 @@ def test_series_sub_matches_elements(data):
     for x, y in ((a, b), (LaurentSeries.zero(field, a.prec), b),
                  (a, LaurentSeries.zero(field, b.prec))):
         prec = min(x.prec, y.prec)
-        diff = x - y
-        assert diff.prec == prec
+        diff, total = _assert_normal(x - y), _assert_normal(x + y)
+        assert diff.prec == total.prec == prec
         for k in range(min(x.v0, y.v0, prec), prec):
             assert diff.coeff(k) == x.coeff(k) - y.coeff(k)
-        want = x + (-y)
+            assert total.coeff(k) == x.coeff(k) + y.coeff(k)
+        want = _assert_normal(x + _assert_normal(-y))
         assert (diff.v0, diff.coeffs, diff.prec) == (want.v0, want.coeffs, want.prec)
     n = data.draw(st.integers(0, field.p - 1))
-    rsub = n - a
+    rsub = _assert_normal(n - a)
     assert rsub.prec == a.prec
     for k in range(min(a.v0, 0, a.prec), a.prec):
         assert rsub.coeff(k) == field.from_int(n if k == 0 else 0) - a.coeff(k)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_neg_and_derivative_match_elements(data):
+    field = data.draw(grid_fields)
+    a = data.draw(series(field))
+    neg, d = _assert_normal(-a), _assert_normal(a.derivative())
+    assert (neg.prec, d.prec) == (a.prec, a.prec - 1)
+    for k in range(min(a.v0, a.prec), a.prec):
+        assert neg.coeff(k) == -a.coeff(k)
+        assert d.coeff(k - 1) == a.coeff(k) * field.from_int(k)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_element_and_series_combine_from_either_side(data):
+    # an element defers to the series' reflected operators
+    for field in FIELD_GRID:
+        s = data.draw(series(field, nonzero=True))
+        c = data.draw(_elements(field))
+        const = LaurentSeries.constant(field, c, s.prec)
+        for got, want in ((c + s, s + c), (c - s, const - s), (c * s, s * c),
+                          (c / s, const / s)):
+            assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
+    other = gf.Field(11)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # an element of another field combines with neither
+        with pytest.raises(TypeError):
+            op(other.one(), s)
+        with pytest.raises(TypeError):
+            op(other.one(), field.one())
 
 
 @settings(deadline=None)
@@ -300,7 +359,7 @@ def test_series_division_is_product_with_reciprocal(data):
     fresh = from_codes(field, b.v0, [c.n for c in b.coeffs], b.prec)
     want = a * fresh.reciprocal()
     for _ in range(2):  # the second quotient reuses b's kept reciprocal
-        got = a / b
+        got = _assert_normal(a / b)
         assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
     if a.coeffs:
         # a known numerator keeps its leading term: v(a) - v(b) lies below
@@ -345,7 +404,7 @@ def test_series_evaluate_is_termwise(data):
     for poly in (f, MultiPoly.zero(domain, vars)):
         for _ in range(2):  # the second round reads the kept coefficient series
             for P in precs:
-                got = evaluate(poly, coords, P)
+                got = _assert_normal(evaluate(poly, coords, P))
                 want = _evaluate_termwise(poly, coords, P)
                 assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
 
@@ -401,7 +460,7 @@ def test_prime_series_mul_is_schoolbook_convolution(data):
         for j, y in enumerate(cb):
             full[i + j] += x * y
     prec = min(a.prec + b.v0, b.prec + a.v0)
-    assert a * b == from_codes(field, a.v0 + b.v0, [c % p for c in full], prec)
+    assert _assert_normal(a * b) == from_codes(field, a.v0 + b.v0, [c % p for c in full], prec)
 
 
 @settings(deadline=None)
@@ -410,12 +469,12 @@ def test_prime_series_add_neg_derivative_match_elements(data):
     field = data.draw(prime_fields)
     a, b = data.draw(long_series(field)), data.draw(long_series(field))
     prec = min(a.prec, b.prec)
-    total, diff = a + b, a - b
+    total, diff = _assert_normal(a + b), _assert_normal(a - b)
     assert total.prec == diff.prec == prec
     for k in range(min(a.v0, b.v0), prec):
         assert total.coeff(k) == a.coeff(k) + b.coeff(k)
         assert diff.coeff(k) == a.coeff(k) - b.coeff(k)
-    neg, d = -a, a.derivative()
+    neg, d = _assert_normal(-a), _assert_normal(a.derivative())
     assert (neg.prec, d.prec) == (a.prec, a.prec - 1)
     for k in range(a.v0, a.prec):
         assert neg.coeff(k) == -a.coeff(k)
@@ -428,7 +487,7 @@ def test_prime_series_frobenius_and_pth_root_match_elements(data):
     field = data.draw(prime_fields)
     p, zero = field.p, field.zero()
     s = data.draw(long_series(field))
-    f = s**p
+    f = _assert_normal(s**p)
     assert f.prec == s.prec + (p - 1) * s.v0
     want = {p * k: c**p for k, c in enumerate(s.coeffs, s.v0) if c and p * k < f.prec}
     assert {k: c for k, c in enumerate(f.coeffs, f.v0) if c} == want
@@ -438,7 +497,7 @@ def test_prime_series_frobenius_and_pth_root_match_elements(data):
     spread[::p] = codes
     v0 = p * data.draw(st.integers(-1, 1))
     t = from_codes(field, v0, spread, v0 + len(spread) + data.draw(st.integers(-2, 4)))
-    r = t.pth_root()
+    r = _assert_normal(t.pth_root())
     assert r.prec == -(-t.prec // p)
     for k in range(t.v0 if t.coeffs else t.prec, t.prec):
         if k % p == 0:
