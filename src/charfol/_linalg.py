@@ -89,9 +89,6 @@ class SpanTracker:
         rows.append((pivot, v, rcombo))
         return None
 
-    def rank(self):
-        return len(self.rows)
-
 
 def kernel_basis(vectors):
     """Combinations summing to zero; one per dependency, indexed like vectors."""

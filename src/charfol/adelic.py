@@ -53,9 +53,6 @@ class LocalPoint:
         self.coords = coords
         self.prec = prec
 
-    def coord(self, name):
-        return self.coords[name]
-
     def to_json(self):
         return {v: str(s) for v, s in sorted(self.coords.items())}
 

@@ -778,9 +778,6 @@ class ChartAlgebra:
     def poly(self, text):
         return parse_poly(text, self.vars, self.domain)
 
-    def nf(self, f):
-        return self.normal_form(f)
-
     def _reduce_once(self, f, rel):
         i, d = rel.index, rel.degree
         while True:
@@ -808,6 +805,8 @@ class ChartAlgebra:
             if f == before:
                 return f
         raise RuntimeError("normal form did not stabilize; relations are not triangular")
+
+    nf = normal_form
 
     def is_reduced(self, f):
         return all(

@@ -276,17 +276,18 @@ _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _chart_from_poly(text, q=3):
-    names = []
-    for m in _VAR_RE.finditer(text):
-        s = m.group(0)
-        if s != "t" and s not in names:
-            names.append(s)
-    if not names:
-        raise ValueError("no variables in the polynomial")
     if q < 2:
         raise ValueError(f"cannot read a characteristic from q = {q}")
     # the smallest factor above 1 is prime; _build_field checks q is its power
     p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+    names = []
+    for m in _VAR_RE.finditer(text):
+        s = m.group(0)
+        # parse_poly reads u as the generator of F_q when q is not prime
+        if s != "t" and (s != "u" or q == p) and s not in names:
+            names.append(s)
+    if not names:
+        raise ValueError("no variables in the polynomial")
     K = FunField(_build_field(p, q))
     poly = parse_poly(text, tuple(names), K)
     designated = None

@@ -24,9 +24,9 @@ def _coeff_t_derivative(poly):
 
 
 class OneForm:
-    __slots__ = ("chart", "comps", "t_comp", "unreduced_at", "primitive")
+    __slots__ = ("chart", "comps", "t_comp", "unreduced_at")
 
-    def __init__(self, chart, comps, t_comp=None, unreduced_at=(), primitive=None):
+    def __init__(self, chart, comps, t_comp=None, unreduced_at=()):
         if isinstance(comps, dict):
             comps = [comps.get(v, chart.zero()) for v in chart.vars]
         self.chart = chart
@@ -40,15 +40,14 @@ class OneForm:
                 raise ValueError("dt component only exists over F_q(t)")
             self.t_comp = None
         self.unreduced_at = tuple(unreduced_at)
-        self.primitive = primitive
 
     @classmethod
     def d(cls, chart, f):
-        """The differential of a chart function; the result knows its primitive."""
+        """The differential of a chart function."""
         g = chart.nf(f)
         comps = [g.partial(v) for v in chart.vars]
         t_comp = _coeff_t_derivative(g) if _has_t(chart) else None
-        return cls(chart, comps, t_comp, primitive=g)
+        return cls(chart, comps, t_comp)
 
     def coeff(self, name):
         return self.comps[self.chart.vars.index(name)]
@@ -186,7 +185,7 @@ def reduce_form(form):
         if tco is not None:
             t = t + c * tco
         comps[elim] = chart.zero()
-    return OneForm(chart, comps, t, unreduced_at=flags, primitive=form.primitive)
+    return OneForm(chart, comps, t, unreduced_at=flags)
 
 
 def relative_vars(chart):

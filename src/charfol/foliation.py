@@ -115,11 +115,6 @@ def pairing(form, D):
     return D.chart.nf(out)
 
 
-def pairing_checks(form, D):
-    """Pair the form with D and with D^[p]; zero values mean compatibility."""
-    return {"D": pairing(form, D), "D^[p]": pairing(form, p_power(D))}
-
-
 def _try_exact_divide(chart, num, den):
     """num/den in the chart algebra, or None; any answer is verified."""
     num, den = chart.nf(num), chart.nf(den)

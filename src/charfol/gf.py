@@ -2,16 +2,15 @@
 
 An element is one int n = c_0 + c_1 p + ... + c_(e-1) p^(e-1) in [0, q), the
 base-p code of its coefficients over F_p (FieldElement.n); the coefficients
-are read back only to print. The arithmetic on codes lives once, on Field
-(add, neg, mul, inv, power): FieldElement's operators wrap it, and series
-store their coefficients as bare codes and call it or read the tables. Over
-F_p the operations are int operations mod p. For e > 1 a Field builds, on
-first use, tables over a primitive element g (K. Huber, IEEE Trans. Inf.
-Theory 36(4), 1990): exp[k] = g^k for k in [0, 2(q-1)), log[n] with
-log[0] = -1, and zech[k] = log(1 + g^k). A product, an inverse or a power is
-then arithmetic on logs, a sum one Zech lookup. The characteristic is
-exposed everywhere as .p; frobenius and pth_root are total maps (the field
-is perfect). Supported bound: q <= 2^16.
+are read back only to print. FieldElement's operators compute on the codes
+themselves; series keep bare codes and work on them inline. Over F_p the
+operations are int operations mod p. For e > 1 a Field builds, when it is
+made, tables over a primitive element g (K. Huber, IEEE Trans. Inf. Theory
+36(4), 1990): exp[k] = g^k for k in [0, 2(q-1)), log[n] with log[0] = -1,
+and zech[k] = log(1 + g^k). A product or a power is then arithmetic on
+logs, a sum one Zech lookup, and Field.inv one log subtraction. The
+characteristic is exposed everywhere as .p; frobenius and pth_root are total
+maps (the field is perfect). Supported bound: q <= 2^16.
 """
 
 MAX_Q = 1 << 16
@@ -132,6 +131,7 @@ class Field:
             if not _irreducible(list(modulus), p):
                 raise ReducibleModulus(f"{self._fmt_mod(modulus)} is reducible over F_{p}")
             self.modulus = modulus
+            self._build_tables()
 
     def _search_modulus(self):
         # lexicographic over constant-first coefficient vectors
@@ -147,13 +147,6 @@ class Field:
         return " + ".join(f"{c}*u^{i}" for i, c in enumerate(m) if c) or "0"
 
     # -- the tables of an extension field --
-
-    def __getattr__(self, name):
-        # only unset slots land here: the tables are built on first use
-        if name in ("exp", "log", "zech") and self.e > 1:
-            self._build_tables()
-            return getattr(self, name)
-        raise AttributeError(name)
 
     def _mulmod(self, a, b):
         prod = [0] * (len(a) + len(b) - 1)
@@ -215,52 +208,12 @@ class Field:
         self.exp = exp + exp
         self.log = log
 
-    # -- arithmetic on codes: FieldElement's operators and series use these --
-
-    def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        if not a:
-            return b
-        if not b:
-            return a
-        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
-        log = self.log
-        i = log[a]
-        z = self.zech[log[b] - i]
-        return self.exp[i + z] if z >= 0 else 0
-
-    def neg(self, a):
-        if self.e == 1:
-            return -a % self.p
-        if not a or self.p == 2:
-            return a
-        # -1 = g^((q-1)/2)
-        return self.exp[self.log[a] + (self.q - 1) // 2]
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return a * b % self.p
-        if not a or not b:
-            return 0
-        log = self.log
-        return self.exp[log[a] + log[b]]
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of 0 in " + repr(self))
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.exp[self.q - 1 - self.log[a]]
-
-    def power(self, a, n):
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        if self.e == 1:
-            return pow(a, n, self.p)
-        if not a:
-            return 0 if n else 1
-        return self.exp[self.log[a] * n % (self.q - 1)]
 
     # -- elements --
 
@@ -314,8 +267,8 @@ class Field:
 
 
 class FieldElement:
-    """The element of field with base-p code n; its operators are the
-    field's code operations."""
+    """The element of field with base-p code n: mod p arithmetic for e = 1,
+    the field's log, exp and Zech tables for e > 1."""
 
     __slots__ = ("field", "n")
 
@@ -341,19 +294,32 @@ class FieldElement:
             other = self._check(other)
             if other is NotImplemented:
                 return other
-        return FieldElement(f, f.add(self.n, other.n))
+        a, b = self.n, other.n
+        if f.e == 1:
+            return FieldElement(f, (a + b) % f.p)
+        if not a or not b:
+            return FieldElement(f, a or b)
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
+        i = f.log[a]
+        z = f.zech[f.log[b] - i]
+        return FieldElement(f, f.exp[i + z] if z >= 0 else 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.n))
+        f, a = self.field, self.n
+        if f.e == 1:
+            return FieldElement(f, -a % f.p)
+        # -1 = g^((q-1)/2); -a = a for a = 0 or p = 2
+        return FieldElement(f, f.exp[f.log[a] + (f.q - 1) // 2] if a and f.p != 2 else a)
 
     def __sub__(self, other):
         other = self._check(other)
         return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + self.field.from_int(other)
+        other = self._check(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         f = self.field
@@ -361,7 +327,10 @@ class FieldElement:
             other = self._check(other)
             if other is NotImplemented:
                 return other
-        return FieldElement(f, f.mul(self.n, other.n))
+        a, b = self.n, other.n
+        if f.e == 1:
+            return FieldElement(f, a * b % f.p)
+        return FieldElement(f, f.exp[f.log[a] + f.log[b]] if a and b else 0)
 
     __rmul__ = __mul__
 
@@ -373,10 +342,18 @@ class FieldElement:
         return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.field.from_int(other) / self
+        other = self._check(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, n):
-        return FieldElement(self.field, self.field.power(self.n, n))
+        f, a = self.field, self.n
+        if n < 0:
+            a, n = f.inv(a), -n
+        if f.e == 1:
+            return FieldElement(f, pow(a, n, f.p))
+        if not a:
+            return FieldElement(f, 0 if n else 1)
+        return FieldElement(f, f.exp[f.log[a] * n % (f.q - 1)])
 
     def __eq__(self, other):
         if isinstance(other, int):

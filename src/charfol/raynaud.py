@@ -118,10 +118,6 @@ class DivClass:
         return f"<class {self} on {self.lattice!r}>"
 
 
-def intersect(c1, c2):
-    return c1.dot(c2)
-
-
 def require_cover(p, d):
     """Raise unless the d-cyclic cover exists (Raynaud, 1978): the curve's
     ValueError for p < 3 or d < 2, HypothesisViolated unless d | p + 1."""

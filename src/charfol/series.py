@@ -24,7 +24,7 @@ reciprocal (power -1) among them, and a divisor used again is inverted once.
 evaluate is the one substitution of series into a polynomial over F_q or
 F_q(t); a polynomial never changes either, so it keeps its coefficient
 series per precision and each coefficient is converted once (a constant
-straight to its code).
+over F_q straight to its code, one over F_q(t) through from_ratfunc).
 """
 
 import struct
@@ -178,11 +178,6 @@ class LaurentSeries:
     @classmethod
     def from_ratfunc(cls, r, prec):
         if _is_one(r.den):
-            terms = r.num.terms
-            c = terms.get((0,))
-            if c is not None and len(terms) == 1:
-                # a nonzero constant: its code, with no degree scan
-                return from_codes(r.field, 0, [c.n], prec)
             return cls.from_poly(r.num, prec)
         dden = r.den.degree()
         pad = prec + 2 * dden + 4
@@ -337,9 +332,7 @@ class LaurentSeries:
         a = self._c
         if not a:
             raise DivisionByZeroSeries(f"inverting a series that is O(t^{self.prec})")
-        m = self.prec - self.v0
-        if m <= 0:
-            raise PrecisionExhausted("no known coefficients to invert")
+        m = self.prec - self.v0  # positive: a normal series has v0 < prec
         f = self.field
         inv0 = [f.inv(a[0])]
         if len(a) == 1:
@@ -360,14 +353,8 @@ class LaurentSeries:
         if not other._c:
             raise DivisionByZeroSeries(f"dividing by a series that is O(t^{other.prec})")
         # other keeps its reciprocal as its power -1: a divisor used again
-        # is inverted once
-        out = self * other ** -1
-        if not out._c and self._c:
-            # numerator has a known valuation but no quotient coefficient survives
-            raise PrecisionExhausted(
-                f"quotient valuation {self.v0 - other.v0} not below precision {out.prec}"
-            )
-        return out
+        # is inverted once; a nonzero quotient keeps its leading term
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         return self._check(other) / self

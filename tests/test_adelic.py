@@ -48,8 +48,8 @@ def test_make_point_by_hensel():
     coords = solve_coordinate(C, {"x": xt}, "y", N, initial=0)
     pt = make_point(C, coords, N)
     # y = -x^5 + higher: leading term 2t^5
-    assert pt.coord("y").val() == 5
-    assert pt.coord("y").coeff(5) == F3.from_int(2)
+    assert pt.coords["y"].val() == 5
+    assert pt.coords["y"].coeff(5) == F3.from_int(2)
 
 
 def test_random_local_point_completes_by_newton():
@@ -62,7 +62,7 @@ def test_random_local_point_completes_by_newton():
     rng = random.Random(3)
     for _ in range(10):
         pt = random_local_point(C, rng, 32)
-        z = pt.coord("z")
+        z = pt.coords["z"]
         assert pt.prec == 32 and z.prec == 32
         assert z.val() == 0  # a simple root: 2z is a unit
         residual = evaluate(C.relations[0].poly, pt.coords, 32)
@@ -144,7 +144,7 @@ def test_presentation_frobenius_on_line():
     pres = QuotientPresentation(S, T, {"x": parse_poly("u^3", ("u",), K)})
     good = make_point(T, {"x": LaurentSeries.t_power(F3, 3, N)}, N)
     lifted = lift_point(good, pres)
-    assert str(lifted.coord("u")).startswith("t ")
+    assert str(lifted.coords["u"]).startswith("t ")
     bad = make_point(T, {"x": LaurentSeries.t_power(F3, 1, N)}, N)
     with pytest.raises(NoLift):
         lift_point(bad, pres)
@@ -177,7 +177,7 @@ def test_lift_on_raynaud_quotient():
     xt = zt * zt - yt * yt * yt
     pt = make_point(C, {"x": xt, "y": yt, "z": zt}, N)
     lifted = lift_point(pt, pres)  # z = t^3 is a cube
-    assert lifted.coord("z").val() == 1
+    assert lifted.coords["z"].val() == 1
     bad_z = LaurentSeries.t_power(F3, 1, N)
     bad_x = bad_z * bad_z - yt * yt * yt
     bad = make_point(C, {"x": bad_x, "y": yt, "z": bad_z}, N)
@@ -196,7 +196,7 @@ def test_point_and_form_on_another_chart_raise_type_error():
     assert same is not C and same == C
     assert pullback_form(pt, OneForm.d(same, same.var("z"))) == \
         pullback_form(pt, OneForm.d(C, C.var("z")))
-    assert lift_point(make_point(same, coords, N), pres).coord("z").val() == 1
+    assert lift_point(make_point(same, coords, N), pres).coords["z"].val() == 1
     other = raynaud_chart(d=4)
     with pytest.raises(TypeError, match="different charts"):
         pullback_form(pt, OneForm.d(other, other.var("z")))
@@ -218,7 +218,7 @@ def test_lift_evaluates_no_zero_polynomial(monkeypatch):
         return evaluate(poly, coords, prec)
 
     monkeypatch.setattr(adelic, "evaluate", counting)
-    assert lift_point(pt, pres).coord("z").val() == 1
+    assert lift_point(pt, pres).coords["z"].val() == 1
     assert zero_polys == []
 
 
@@ -286,7 +286,7 @@ def test_random_points_live_on_chart_and_bias_works():
     for _ in range(40):
         pt = random_local_point(C, rng, N)
         assert isinstance(pt, LocalPoint)
-        if pt.coord("z").pth_root() is not None:
+        if pt.coords["z"].pth_root() is not None:
             cubes += 1
     assert 5 < cubes < 35  # both sides of the dichotomy get traffic
 

@@ -71,6 +71,18 @@ def test_descend_exit_codes():
     assert [(c["name"], c["status"]) for c in rep["checks"]] == [("chart", "fail")]
 
 
+def test_descend_reads_u_as_the_generator_when_q_is_not_prime():
+    code, out = run(["descend", "--poly", "y^3 - u*t^3*x", "--q", "9", "--json"])
+    assert code == 0
+    chart, model = json.loads(out)["checks"]
+    assert chart["values"]["vars"] == ["y", "x"]
+    assert model["values"]["model"]["relations"] == [{"monic_in": "y", "poly": "y^3 + u*t*x"}]
+    # over a prime field u is a coordinate like any other
+    code, out = run(["descend", "--poly", "y^3 - u*t^3*x", "--q", "3", "--json"])
+    assert code == 0
+    assert json.loads(out)["checks"][0]["values"]["vars"] == ["y", "u", "x"]
+
+
 def test_star_check_frozen_counts():
     code, out = run(["star-check", "--p", "3", "--d", "2", "--chart", "raynaud-local",
                      "--trials", "10", "--seed", "4", "--json"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,17 @@ def test_q_bound():
     gf.Field(2, 16)  # exactly 2^16 is allowed
 
 
+def test_reflected_operators_take_only_ints():
+    F = gf.Field(5)
+    c = F.from_int(2)
+    assert 3 - c == F.from_int(1) and 3 / c == F.from_int(4)
+    for other in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            other - c
+        with pytest.raises(TypeError):
+            other / c
+
+
 def test_from_int_wraps():
     F = gf.Field(5)
     assert F.from_int(12) == F.from_int(2)
@@ -115,10 +127,13 @@ def _ref_pow(F, a, n):
     return out
 
 
-def _mismatches(F, pairs, powers=(0, 1, 2, 3, 7)):
+def _mismatches(F, pairs, powers=(0, 1, 2, 3, 7, -1, -2)):
     """The operations whose results differ from the reference on pairs of
-    digit lists (unary operations on the first of each pair)."""
+    digit lists (unary operations on the first of each pair). A negative
+    power of a nonzero element is checked against the reference power of its
+    inverse, with -(q+1) added to powers."""
     p, e = F.p, F.e
+    powers = (*powers, -(F.q + 1))
     one = [1] + [0] * (e - 1)
     bad = set()
     for x, y in pairs:
@@ -134,7 +149,10 @@ def _mismatches(F, pairs, powers=(0, 1, 2, 3, 7)):
         a = F.element(x)
         if _digits(-a) != [-s % p for s in x]:
             bad.add("neg")
-        if any(_digits(a**n) != _ref_pow(F, x, n) for n in powers):
+        if any(_digits(a**n) != _ref_pow(F, x, n) for n in powers if n >= 0):
+            bad.add("pow")
+        if a and any(_digits(a**n) != _ref_pow(F, _digits(a.inverse()), -n)
+                     for n in powers if n < 0):
             bad.add("pow")
         if _digits(gf.frobenius(a)) != _ref_pow(F, x, p):
             bad.add("frobenius")
@@ -166,7 +184,7 @@ def test_tables_match_reference_on_all_pairs(p, e):
 def test_tables_match_reference_on_sampled_pairs(p, e):
     F = gf.Field(p, e)
     # large exponents reach the far end of the antilog table
-    powers = (0, 1, 2, F.q - 2, F.q - 1, F.q, 3 * F.q + 5)
+    powers = (0, 1, 2, F.q - 2, F.q - 1, F.q, 3 * F.q + 5, -1, -2)
     assert _mismatches(F, _sampled_pairs(F), powers) == set()
 
 

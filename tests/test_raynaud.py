@@ -11,7 +11,6 @@ from charfol.raynaud import (
     SurfaceLattice,
     ample_class_A,
     global_generation_numerics,
-    intersect,
     verify_raynaud_formulas,
     verify_ruled_formulas,
 )
@@ -22,16 +21,16 @@ PARAMS = [(3, 2, 3), (5, 2, 7)]
 def test_lattice_products():
     lat = SurfaceLattice("ruled", 3, 2, 3)
     H, F = lat.section(), lat.fiber()
-    assert intersect(H, H) == Fraction(6)  # degL = d*degN
-    assert intersect(H, F) == Fraction(1)
-    assert intersect(F, F) == Fraction(0)
+    assert H.dot(H) == Fraction(6)  # degL = d*degN
+    assert H.dot(F) == Fraction(1)
+    assert F.dot(F) == Fraction(0)
 
 
 def test_lattice_rejects_mixed_classes():
     a = SurfaceLattice("ruled", 3, 2, 3).section()
     b = SurfaceLattice("raynaud", 3, 2, 3).section()
     with pytest.raises(LatticeMismatch):
-        intersect(a, b)
+        a.dot(b)
 
 
 def test_genus_consistency_guard():
@@ -118,4 +117,4 @@ def test_pA_decompositions_coincide():
 def test_exact_rational_arithmetic():
     lat = SurfaceLattice("raynaud", 3, 2, 3)
     half = Fraction(1, 2) * lat.section()
-    assert intersect(half, lat.fiber()) == Fraction(1, 2)
+    assert half.dot(lat.fiber()) == Fraction(1, 2)
