@@ -248,61 +248,67 @@ def test_parser_is_built_once_and_survives_a_bad_call(monkeypatch):
 # digests and the raynaud-ledger one were recorded again when the ledgers
 # listed their classes as definitions instead of comparing each with itself
 # and the pipeline dropped its preflight checks; no other check changed.
+# Every digest but those of the two quotient runs, descend and the two
+# star-check runs was recorded again when each comparison came to be reported
+# once: the three tango checks that restated ord-dx-at-infinity, the ledger's
+# second T.Sigma and the unconditional passes (kernel-derivation,
+# model-and-presentation, trial-log) went, and their data moved onto the
+# check each explains; every other record is as it was.
 GOLDEN = [
     ("pipeline --p 3 --d 2 --seed 7 --trials 15 --json",
-     "2c012cfa270fa38158046eb6b6d78b90e624c9dc61c3e9ab891fd8e72958dd0b"),
+     "4e6ce024dfac93f64a5411db1a32d13705949903d606c00a0cb21ac47425be2a"),
     ("pipeline --p 5 --d 3 --q 25 --seed 7 --trials 15 --json",
-     "073a4655ebbe1c9d11eae68c19a1d66d1355ff597e9f3f749268437e004a9160"),
+     "04b1294851bfa1711057c3d1ace112bedf2204a0a505d40afb3bdf55e809df40"),
     ("quotient --p 5 --d 3 --json",
      "14b6e1b3bc4d443fe1310362a615a1ee0d10471e869549557a9a615b8af28c4e"),
     ("quotient --p 3 --d 2 --chart affine-plane --q 9 --json",
      "3a430f0e01f61c2630199581586d7098456f5a9ced33be56109e9d006a066ce5"),
     ("equiv-check --p 5 --d 3 --chart raynaud-local --trials 15 --seed 7 --json",
-     "4b024f9824e45e456d00e474d65ebc2f8192c73b549b172da58a0cfb476b049a"),
+     "355e90f5bd2c34b357de2cb993d144e7e9d3316b4c9fe77759ebd31016f7c51d"),
     ("equiv-check --p 3 --d 2 --chart affine-plane --trials 20 --seed 2 --json",
-     "754d3da90b9f9351515245c4b9139402bb3a26a33e775bc4111bc66f9834dac6"),
+     "8de615eeaa844a4986b451818cc68ddb24c53c57a016c8d6d77238a4198af7ac"),
     # Newton at infinity, over a prime field and over F_9
     ("tango-verify --p 7 --d 4 --json",
-     "7a3d9107bfdb566231ed621ef7a1b1dc26e3e7e8a69c1fec91479d12db607158"),
+     "3b0639fea64aaeab28e6ef844cdc361d1c4fa6a5c4ea8f4f5be9fd823e440ecd"),
     ("tango-verify --p 3 --d 2 --q 9 --json",
-     "85a90eac918345175a9bc243d51cc97741f98f5a88f18d0bec6ecffd9b4cafce"),
+     "138c06baade68bbbae08b6c3f86a3438d2fb8870db2ae576dd4f9ab4f21aa500"),
     # the model pair's chart JSON
     ('descend --poly "y^3 - t^3*x" --q 3 --json',
      "63ce29ae30fd9af17a3bdd8343bf4ec951f735dfd2978e84cdf9833b8d3b644c"),
     # extension fields: F_25 on both charts, F_3^10 at the top of the
     # q <= 2^16 domain, and the star count over F_729
     ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart raynaud-local --json",
-     "6b0f8ec5d560a0e7a7c749625da9edac1a22e56e7beb8adc52fb7423cda1427e"),
+     "4d2d97b08ee002130cf2e6890c4a5744abd93b27e39e1059769b375081ac3bd9"),
     ("equiv-check --p 5 --d 3 --q 25 --trials 50 --seed 3 --chart affine-plane --json",
-     "c363fa44bcf506e3214cd57503ab6334c78fae58ad05d0fffd6f0ab37390a7b8"),
+     "f80b2e6901101c3bf6a7a3fdd50d1bb3684c9e3b4f4e5e54af53a9184303870a"),
     ("equiv-check --p 3 --d 2 --q 59049 --trials 20 --seed 1 --json",
-     "008fbb4f7721b913c082615a916d0fb7d8b3014fd82c7f33a33f06293d60b4c9"),
+     "5eca86ed235ad95e300faf30e134e5f03b003403030a84f84c4a2c66f9f838c5"),
     ("star-check --p 3 --d 2 --q 729 --json",
      "e82bbb25b84a3782917b80f18cf262d840f86d215d6df4a5e9c63caf2598f791"),
     # a factorization degree bound (137) above 3p
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
-     "738ee20d82453599110af6e0c072e74f7931bd8db696873d9b7d5a529eaf4e32"),
+     "dd7deff28eb0074a0989ef0bf22be292d56c8704c3ee722dca9655917a1d1d28"),
     # at p = 17 (p-1)^2 >= 256, so series products take two-byte slots;
     # the trial log prints every sampled and lifted point
     ("equiv-check --p 17 --d 2 --trials 50 --seed 1 --verbose --json",
-     "5a818ed3850e471e763e17ff5f404917bfadc2140887983e5a52a2ab61834546"),
+     "83e04284e486775d97f89219c0c67a4bf13d3337a73318514449aa7428887c81"),
     # recorded before series.evaluate became the one substitution of series
     # into chart polynomials: trial logs print every sampled and lifted
     # point, the ledger derives degN = dp - 3 (7 here), and star counts and
     # the chain-rule witness on the affine plane
     ("equiv-check --p 5 --d 3 --trials 40 --seed 1 --verbose --json",
-     "b97a91925afd85dd900ca956d33a0bed9f8ab1973ad1644866dd84c49c8a2be0"),
+     "5749aa3e2dcadef33bf036330f13447530af3b8240adf6c9d77438623b79eb82"),
     ("raynaud-ledger --p 5 --d 2 --json",
-     "43a394f3b4caee69c22a421dedcd887b973f6f8083a779ec2dd7c0467e9414c5"),
+     "72a500ed7db59a01d20ed7580edd43fae8fdbf268d3c552af332662a997a3ffe"),
     ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",
      "280eaf36fc76e3f8f9055fd0f76a4b75efebf310f42c45da1acb5c584d62756a"),
     # the extension-field series kernels outside F_25, recorded before they
     # ran inline on the log and Zech tables: p = 7, where -1 = g^24 in F_49,
     # and e = 3 (98 lifts, 102 non-lifts)
     ("equiv-check --p 7 --d 4 --q 49 --trials 200 --seed 1 --json",
-     "7b77e10c479fec06e5071e1160f1383f08bfa17f1e910d115c84d585b9b54fa1"),
+     "e8eacf6acdf09140ff896c34d5b3e172bb09aad22a07be7de60e7abb4ef1124f"),
     ("equiv-check --p 3 --d 2 --q 27 --trials 200 --seed 1 --json",
-     "80b8ee15f929c802be5fd5a1e57e0d8c1fb171e6a939c52b6195d7e218dbc158"),
+     "dabd1349579251bbb308cbaa9a1a94f8d2dafa1739a2e2bfacd7bb5ef7122f0d"),
 ]
 
 
@@ -386,13 +392,23 @@ def test_negative_trials_exit_2(command, capsys):
 
 
 def test_star_check_without_trials_is_inconclusive():
+    # no sample, no verdict: not a chain rule, nor zero counterexamples
     code, out = run(["star-check", "--p", "3", "--d", "2", "--trials", "0", "--json"])
     assert code == 1
     rep = json.loads(out)
     assert rep["status"] == "inconclusive"
+    assert [c["status"] for c in rep["checks"]] == ["inconclusive"] * 2
     check = rep["checks"][0]
     assert (check["name"], check["status"]) == ("pullbacks-evaluated", "inconclusive")
     assert (check["values"]["star_true"], check["values"]["star_false"]) == (0, 0)
+    code, out = run(["equiv-check", "--p", "3", "--d", "2", "--trials", "0", "--json"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    # sections-generate reads the section family, not the samples
+    assert [c["name"] for c in rep["checks"] if c["status"] == "pass"] == ["sections-generate"]
+    check = next(c for c in rep["checks"] if c["name"] == "zero-counterexamples")
+    assert (check["status"], check["values"]["counterexamples"]) == ("inconclusive", [])
 
 
 @pytest.mark.parametrize("d", [1, 0, -2])
@@ -578,6 +594,31 @@ def test_pipeline_below_star_precision_is_inconclusive():
 def test_bad_parameters_exit_2():
     code, _ = run(["tango-verify", "--p", "4", "--d", "2", "--json"])
     assert code == 2
+
+
+def test_tango_verify_q_0_exits_2(capsys):
+    code, out = run(["tango-verify", "--p", "3", "--d", "2", "--q", "0", "--json"])
+    assert (code, out) == (2, "")
+    assert "error: q = 0 is not a power of p = 3" in capsys.readouterr().err
+
+
+def test_tango_verify_reports_ord_once():
+    code, out = run(["tango-verify", "--p", "3", "--d", "2", "--json"])
+    assert code == 0
+    smooth, ord_dx = json.loads(out)["checks"]
+    assert smooth["name"] == "smoothness"
+    assert ord_dx == {"name": "ord-dx-at-infinity", "status": "pass",
+                      "values": {"ord": 18, "expected": 18, "canonical_degree": 18,
+                                 "genus": 10, "degL": 6}}
+
+
+def test_human_table_aligns_every_check_name():
+    # asserted-by-paper is the longest status; every name starts one column
+    code, out = run(["raynaud-ledger", "--p", "5", "--d", "2"])
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("  [")]
+    assert any("[asserted-by-paper]" in r for r in rows)
+    assert len({r.index("]") for r in rows}) == 1
 
 
 @pytest.mark.parametrize("error,reason", [
