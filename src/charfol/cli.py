@@ -15,7 +15,6 @@ import random
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import gf, raynaud, tango
 from .algebra import ChartAlgebra, FunField, parse_poly
@@ -50,12 +49,8 @@ STATUS_WIDTH = max(map(len, (PASS, FAIL, INCONCLUSIVE, ASSERTED)))
 
 
 def _plain(v):
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (bool, int, str)) or v is None:
         return v
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, dict):
         return {str(k): _plain(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -126,7 +121,7 @@ def _build_field(p, q):
         m //= p
         e += 1
     if m != 1 or e < 1:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
+        raise gf.DomainError(f"q = {q} is not a power of p = {p}")
     return gf.Field(p, e)
 
 
@@ -193,9 +188,9 @@ def _ledger_section(rep, prefix, data):
 
 
 def cmd_raynaud_ledger(p, d):
-    # out of the domain the ledgers raise the curve's ValueError or
-    # HypothesisViolated for the caller to report; degN = dp - 3 fits the curve and
-    # makes every product of A positive, so they raise nothing else
+    # out of the domain the ledgers raise the curve's DomainError or
+    # HypothesisViolated; degN = dp - 3 fits the curve and makes every product
+    # of A positive, so only a faulty lattice makes them raise anything else
     degN = _default_degn(p, d)
     rep = RunReport("raynaud-ledger", {"p": p, "d": d, "degN": degN})
     ruled = raynaud.verify_ruled_formulas(p, d, degN)
@@ -554,11 +549,12 @@ def main(argv=None):
     except raynaud.HypothesisViolated as e:
         rep = RunReport(ns.command, params)
         rep.add("hypothesis/d-divides-p-plus-1", FAIL, p=ns.p, d=ns.d, error=str(e))
-    except (ValueError, TypeError) as e:
+    except gf.DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as e:
-        # the run stopped short of a verdict: report why, not a traceback.
+    except Exception as e:
+        # the run stopped short of a verdict, or a stage is at fault: report
+        # why, not a traceback (only a DomainError is a bad argument).
         # The failed run's frames, reachable from the traceback and from
         # reference cycles, can hold the memory the report needs: free them.
         e.__traceback__ = None

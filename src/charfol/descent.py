@@ -18,7 +18,7 @@ class NoDescent(ValueError):
     pass
 
 
-class NoDerivationDescent(ValueError):
+class NoDerivationDescent(NoDescent):
     pass
 
 

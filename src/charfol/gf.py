@@ -16,7 +16,11 @@ maps (the field is perfect). Supported bound: q <= 2^16.
 MAX_Q = 1 << 16
 
 
-class NotPrime(ValueError):
+class DomainError(ValueError):
+    """A parameter outside the documented domain."""
+
+
+class NotPrime(DomainError):
     pass
 
 
@@ -97,14 +101,14 @@ def _irreducible(m, p):
 
 
 def check_field(p, e=1):
-    """Raise unless F_(p^e) is supported: NotPrime, or a ValueError for
+    """Raise unless F_(p^e) is supported: NotPrime, or a DomainError for
     e < 1 or q above MAX_Q."""
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"p = {p!r} is not prime")
     if e < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise DomainError("extension degree must be >= 1")
     if p**e > MAX_Q:
-        raise ValueError(f"q = {p**e} exceeds supported bound {MAX_Q}")
+        raise DomainError(f"q = {p**e} exceeds supported bound {MAX_Q}")
 
 
 class Field:

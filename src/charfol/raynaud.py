@@ -120,7 +120,7 @@ class DivClass:
 
 def require_cover(p, d):
     """Raise unless the d-cyclic cover exists (Raynaud, 1978): the curve's
-    ValueError for p < 3 or d < 2, HypothesisViolated unless d | p + 1."""
+    DomainError for p < 3 or d < 2, HypothesisViolated unless d | p + 1."""
     check_domain(p, d)
     if (p + 1) % d:
         raise HypothesisViolated(f"d = {d} does not divide p + 1 = {p + 1}")

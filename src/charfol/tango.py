@@ -18,9 +18,9 @@ class GenusMismatch(AssertionError):
 
 def check_domain(p, d):
     if p < 3:
-        raise ValueError("need p >= 3")
+        raise gf.DomainError("need p >= 3")
     if d < 2:
-        raise ValueError("need d >= 2: for d = 1 the model is rational")
+        raise gf.DomainError("need d >= 2: for d = 1 the model is rational")
     gf.check_field(p)
 
 

@@ -9,6 +9,7 @@ import pytest
 from fractions import Fraction
 
 from charfol import _linalg, adelic, algebra, cli, descent, foliation, raynaud, series
+from test_witnesses import F_SQUARED_1, _gram
 
 
 def run(argv):
@@ -681,3 +682,90 @@ def test_monomial_budget_ends_in_an_inconclusive_report(monkeypatch):
     monkeypatch.setattr(foliation, "MONOMIAL_BUDGET", 256)
     code, out = run(["pipeline", "--p", "5", "--d", "2", "--trials", "5", "--json"])
     assert code == 0
+
+
+def test_q_above_the_supported_bound_exits_2(capsys):
+    code, out = run(["tango-verify", "--p", "3", "--d", "2", "--q", "177147", "--json"])
+    assert (code, out) == (2, "")
+    assert "error: q = 177147 exceeds supported bound 65536" in capsys.readouterr().err
+
+
+# A fault of the library, not a bad argument, ends in the command's report
+# with one inconclusive error check that names the exception (exit 1).
+
+
+def _own_parameters(argv):
+    code, out = run(argv)
+    assert code == 0
+    return json.loads(out)["parameters"]
+
+
+def _error_reason(argv, parameters):
+    code, out = run(argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    assert rep["parameters"] == parameters
+    (check,) = rep["checks"]
+    assert (check["name"], check["status"]) == ("error", "inconclusive")
+    return check["values"]["reason"]
+
+
+@pytest.mark.parametrize("command", ["raynaud-ledger", "pipeline"])
+def test_a_non_positive_product_of_A_ends_in_the_error_check(monkeypatch, command):
+    # F^2 = 1 on the cover's lattice makes A.Sigma negative
+    argv = [command, "--p", "5", "--d", "2", "--json"]
+    if command == "pipeline":
+        argv += ["--trials", "5"]
+    parameters = _own_parameters(argv)
+    monkeypatch.setattr(*_gram("raynaud", F_SQUARED_1))
+    assert _error_reason(argv, parameters) == "NonPositive: A.Sigma = -210 is not positive"
+
+
+def test_a_derivation_outside_Kp_fails_descent(monkeypatch):
+    # t*D preserves the relation, but t is not a p-th power, so D has no
+    # model over K^p
+    argvs = {command: [command, "--p", "3", "--d", "2", "--json"] + extra
+             for command, extra in (("pipeline", ["--trials", "5"]), ("quotient", []),
+                                    ("equiv-check", ["--trials", "5"]))}
+    parameters = {command: _own_parameters(argv) for command, argv in argvs.items()}
+    preset = cli.preset_chart
+
+    def times_t(name, p, d, q=None):
+        ch, D, sections = preset(name, p, d, q)
+        t = ch.constant(ch.domain.gen())
+        return ch, foliation.Derivation(ch, [t * c for c in D.coeffs]), sections
+
+    monkeypatch.setattr(cli, "preset_chart", times_t)
+    error = "coefficient of d/dy has entries outside K^p: t"
+    code, out = run(argvs["pipeline"])
+    assert code == 1
+    rep = json.loads(out)
+    assert [c for c in rep["checks"] if c["status"] == "fail"] == [rep["checks"][-1]] == [
+        {"name": "descent/model-and-derivation", "status": "fail",
+         "values": {"error": error}}]
+    # the subcommands with no descent check of their own
+    for command in ("quotient", "equiv-check"):
+        assert _error_reason(argvs[command], parameters[command]) == \
+            f"NoDerivationDescent: {error}"
+
+
+LIFT_FAULTS = [adelic.UnsupportedPresentation("no image for target coordinate y"),
+               TypeError("point does not live on the target chart"),
+               AssertionError(),
+               series.DivisionByZeroSeries("division by a zero series"),
+               series.PrecisionExhausted("no known coefficients"),
+               KeyError("y")]
+
+
+@pytest.mark.parametrize("error", LIFT_FAULTS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("command", ["equiv-check", "pipeline"])
+def test_any_exception_of_a_stage_ends_in_the_error_check(monkeypatch, command, error):
+    argv = [command, "--p", "3", "--d", "2", "--trials", "5", "--json"]
+    parameters = _own_parameters(argv)
+
+    def lift_point(point, pres):
+        raise error
+
+    monkeypatch.setattr(adelic, "lift_point", lift_point)
+    assert _error_reason(argv, parameters).startswith(type(error).__name__)
