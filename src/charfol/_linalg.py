@@ -1,9 +1,14 @@
 """Sparse exact linear algebra over a field.
 
 Vectors are dicts mapping hashable, mutually comparable labels to nonzero
-field elements. The tracker keeps an inter-reduced spanning set and, for
-every stored row, the combination of inserted originals that produced it,
-so dependencies come out as ready-made certificates.
+scalars: int codes (gf.FieldElement.n) when the tracker's domain is a
+gf.Field, its elements otherwise. Only a multiply-add (which also scales)
+and an inverse tell them apart, each mod p for e = 1 and on the log/Zech
+tables for e > 1, as in series; a scalar handed to them may be a negated
+code, -a for minus the element of code a. The tracker keeps an
+inter-reduced spanning set and, for every stored row, the combination of
+inserted originals that produced it, so dependencies come out as
+ready-made certificates.
 
 Invariant: the rows are fully inter-reduced, so no row holds the pivot of
 another. Subtracting a row from a vector therefore changes no other pivot's
@@ -14,32 +19,61 @@ which rows to clear of a new pivot. Both visit rows in insertion order, so
 the field operations run in the same order as a scan of every row would.
 """
 
+from . import gf
 
-def _addmul(dst, src, c):
-    if not c:
-        return
-    for k, val in src.items():
-        s = dst.get(k)
-        s = val * c if s is None else s + val * c
-        if s:
-            dst[k] = s
-        elif k in dst:
-            del dst[k]
+
+def _addmul(field, dst, src, c):
+    """dst += c * src in place, c nonzero; returns dst, so that
+    _addmul(field, {}, src, c) is c * src."""
+    if field is None:
+        for k, val in src.items():
+            s = dst.get(k)
+            s = val * c if s is None else s + val * c
+            if s:
+                dst[k] = s
+            elif k in dst:
+                del dst[k]
+    elif field.e == 1:
+        p = field.p
+        for k, val in src.items():
+            s = (dst.get(k, 0) + val * c) % p
+            if s:
+                dst[k] = s
+            else:
+                del dst[k]  # val * c is nonzero, so k was there
+    else:
+        log, exp, zech, q1 = field.log, field.exp, field.zech, field.q - 1
+        # -a is minus the element of code a; -1 has the log of code p - 1
+        lc = log[c] if c > 0 else (log[-c] + log[field.p - 1]) % q1
+        for k, val in src.items():
+            x = (lc + log[val]) % q1
+            s = dst.get(k)
+            # g^s + g^x = g^s (1 + g^(x-s)); a negative x-s indexes from the end
+            if s is None:
+                dst[k] = exp[x]
+            elif (z := zech[x - log[s]]) >= 0:
+                dst[k] = exp[log[s] + z]
+            else:
+                del dst[k]
+    return dst
 
 
 class SpanTracker:
-    __slots__ = ("rows", "pos", "cols")
+    __slots__ = ("rows", "pos", "cols", "field")
 
-    def __init__(self):
+    def __init__(self, domain=None):
         self.rows = []  # (pivot, vector, combo); vector[pivot] = 1
         self.pos = {}  # pivot -> index into rows
         self.cols = {}  # label -> set of indices of the rows holding it
+        # the gf.Field whose codes the vectors hold, or None for elements
+        self.field = domain if isinstance(domain, gf.Field) else None
 
     def reduce(self, vec):
         """Residual of vec modulo the rows.
 
         Invariant: vec = residual + sum(combo[k] * original_k).
         """
+        field = self.field
         v = dict(vec)
         c = {}
         pos = self.pos
@@ -48,8 +82,8 @@ class SpanTracker:
             pivot, row, rcombo = rows[i]
             coeff = v.get(pivot)
             if coeff:
-                _addmul(v, row, -coeff)
-                _addmul(c, rcombo, coeff)
+                _addmul(field, v, row, -coeff)
+                _addmul(field, c, rcombo, coeff)
         return v, c
 
     def insert(self, vec, tag):
@@ -58,25 +92,23 @@ class SpanTracker:
         Returns None if it enlarges the span, else the dependency
         certificate: a dict c with vec = sum(c[k] * original_k).
         """
+        field = self.field
         v, c = self.reduce(vec)
         if not v:
             return c
         pivot = min(v)
-        inv = v[pivot].inverse()
-        v = {k: val * inv for k, val in v.items()}
-        rcombo = {k: -(val * inv) for k, val in c.items() if val}
-        prev = rcombo.get(tag)
-        rcombo[tag] = inv if prev is None else prev + inv
-        if not rcombo[tag]:
-            del rcombo[tag]
+        inv = v[pivot].inverse() if field is None else field.inv(v[pivot])
+        v = _addmul(field, {}, v, inv)
+        rcombo = _addmul(field, {}, c, -inv)
+        _addmul(field, rcombo, {tag: 1}, inv)
         rows, cols = self.rows, self.cols
         col_sets = [(k, cols.setdefault(k, set())) for k in v]
         # keep stored rows clear of the new pivot
         for i in sorted(cols[pivot]):
             _, row, combo = rows[i]
             coeff = row[pivot]
-            _addmul(row, v, -coeff)
-            _addmul(combo, rcombo, -coeff)
+            _addmul(field, row, v, -coeff)
+            _addmul(field, combo, rcombo, -coeff)
             for k, held in col_sets:
                 if k in row:
                     held.add(i)
@@ -90,24 +122,24 @@ class SpanTracker:
         return None
 
 
-def kernel_basis(vectors):
+def kernel_basis(vectors, domain=None):
     """Combinations summing to zero; one per dependency, indexed like vectors."""
-    tracker = SpanTracker()
+    tracker = SpanTracker(domain)
     kernel = []
     for i, vec in enumerate(vectors):
         cert = tracker.insert(vec, i)
         if cert is not None:
             # the certificate only names earlier vectors
-            rel = {k: -val for k, val in cert.items()}
+            rel = _addmul(tracker.field, {}, cert, -1)
             rel[i] = 1
             kernel.append(rel)
     return kernel
 
 
-def solve_span(vectors, targets):
+def solve_span(vectors, targets, domain=None):
     """One entry per target: a dict c with target = sum(c[i] * vectors[i]),
     or None when the target is outside the span. The span is built once."""
-    tracker = SpanTracker()
+    tracker = SpanTracker(domain)
     for i, vec in enumerate(vectors):
         tracker.insert(vec, i)
     out = []

@@ -15,7 +15,7 @@ from .algebra import MultiPoly, FunField, restrict_to_field
 from .series import LaurentSeries, NotSimpleRoot, evaluate, from_codes, newton
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
-from .foliation import _generator_monomials, frobenius_factorization_check
+from .foliation import _generator_monomials, _vector, frobenius_factorization_check
 from ._linalg import solve_span
 
 
@@ -229,9 +229,9 @@ class QuotientPresentation:
         chart, image_list = (restrict_to_field(source, image_list)
                              or (source, image_list))
         products, _, _ = _generator_monomials(chart, image_list, bound)
-        vectors = [poly.terms for _, poly in products]
-        targets = [chart.nf(chart.var(s) ** p).terms for s in chart.vars]
-        for s, combo in zip(source.vars, solve_span(vectors, targets)):
+        vectors = [vec for _, vec in products]
+        targets = [_vector(chart.nf(chart.var(s) ** p)) for s in chart.vars]
+        for s, combo in zip(source.vars, solve_span(vectors, targets, chart.domain)):
             if combo is None:
                 raise UnsupportedPresentation(
                     f"{s}^{p} is not visibly in the image subring "
@@ -368,20 +368,30 @@ _P_POWER_MULTIPLES = 3
 _POINT_TRIES = 40
 
 
+def _randbelow(rng, n):
+    """rng.randrange(n) as CPython 3.10 to 3.13 draws it, the same stream,
+    without its argument handling."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_free_series(field, rng, N, p_powered):
-    p = field.p
+    p, q = field.p, field.q
     terms = {}
     if p_powered:
-        for _ in range(rng.randrange(1, 4)):
-            k = p * rng.randrange(0, _P_POWER_MULTIPLES)
-            terms[k] = rng.randrange(field.q)
+        for _ in range(1 + _randbelow(rng, 3)):
+            k = p * _randbelow(rng, _P_POWER_MULTIPLES)
+            terms[k] = _randbelow(rng, q)
     else:
-        k0 = rng.randrange(0, _FREE_TOP)
+        k0 = _randbelow(rng, _FREE_TOP)
         while k0 % p == 0:
-            k0 = rng.randrange(0, _FREE_TOP)
-        terms[k0] = rng.randrange(1, field.q)
-        for _ in range(rng.randrange(0, 3)):
-            terms[rng.randrange(0, _FREE_TOP)] = rng.randrange(field.q)
+            k0 = _randbelow(rng, _FREE_TOP)
+        terms[k0] = 1 + _randbelow(rng, q - 1)
+        for _ in range(_randbelow(rng, 3)):
+            terms[_randbelow(rng, _FREE_TOP)] = _randbelow(rng, q)
     v0 = min(terms) if terms else 0
     codes = [0] * (max(terms) - v0 + 1) if terms else []
     for k, c in terms.items():

@@ -6,6 +6,8 @@ elements). Chart algebras carry triangular monic relations and provide the
 normal form every other module relies on for equality.
 """
 
+from operator import add
+
 from . import gf
 
 
@@ -39,6 +41,13 @@ class MultiPoly:
         self.domain = domain
         self.vars = tuple(vars)
         self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, domain, vars, terms):
+        """The polynomial on terms as given: no zero coefficient, vars a tuple."""
+        f = cls.__new__(cls)
+        f.domain, f.vars, f.terms = domain, vars, terms
+        return f
 
     @classmethod
     def zero(cls, domain, vars):
@@ -81,12 +90,12 @@ class MultiPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return MultiPoly(self.domain, self.vars, terms)
+        return MultiPoly._of(self.domain, self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.domain, self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.domain, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -102,9 +111,10 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         terms = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 s = c if s is None else s + c
@@ -112,7 +122,7 @@ class MultiPoly:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
-        return MultiPoly(self.domain, self.vars, terms)
+        return MultiPoly._of(self.domain, self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -182,7 +192,7 @@ class MultiPoly:
                 terms[e2] = s
             elif e2 in terms:
                 del terms[e2]
-        return MultiPoly(self.domain, self.vars, terms)
+        return MultiPoly._of(self.domain, self.vars, terms)
 
     def map_coeffs(self, fn, domain=None):
         """fn applied to every coefficient; domain is the result's, when fn
@@ -780,19 +790,17 @@ class ChartAlgebra:
 
     def _reduce_once(self, f, rel):
         i, d = rel.index, rel.degree
-        while True:
-            high = {e: c for e, c in f.terms.items() if e[i] >= d}
-            if not high:
-                return f
-            low = MultiPoly(
-                self.domain, self.vars, {e: c for e, c in f.terms.items() if e[i] < d}
-            )
-            acc = low
-            for e, c in high.items():
-                rest = e[:i] + (e[i] - d,) + e[i + 1 :]
-                mono = MultiPoly(self.domain, self.vars, {rest: c})
-                acc = acc + mono * rel.rewrite
-            f = acc
+        while any(e[i] >= d for e in f.terms):
+            # f = low + var^d * high, and var^d is congruent to rel.rewrite
+            low, high = {}, {}
+            for e, c in f.terms.items():
+                if e[i] < d:
+                    low[e] = c
+                else:
+                    high[e[:i] + (e[i] - d,) + e[i + 1 :]] = c
+            f = (MultiPoly._of(self.domain, self.vars, high) * rel.rewrite
+                 + MultiPoly._of(self.domain, self.vars, low))
+        return f
 
     def normal_form(self, f):
         """Unique reduced representative modulo the relation ideal."""
@@ -802,7 +810,7 @@ class ChartAlgebra:
             before = f
             for rel in self.relations:
                 f = self._reduce_once(f, rel)
-            if f == before:
+            if f is before or f == before:
                 return f
         raise RuntimeError("normal form did not stabilize; relations are not triangular")
 

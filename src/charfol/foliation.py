@@ -8,12 +8,17 @@ degree bound, and a checked presentation of the degree-p quotient.
 
 The ring of constants applies D to monomials by the Leibniz rule, from the
 images D(x_i). When the chart and D have only coefficients constant in t,
-the factorization runs on F_q scalars and extends its results back to K.
+the factorization runs over F_q and extends its results back to K: from the
+Leibniz images to the certificates, vectors hold F_q codes, as SpanTracker
+does over a gf.Field, and become FieldElements where they become MultiPolys.
 """
 
+from operator import add
+
+from . import gf
 from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
 from .differentials import _elimination, reduce_form
-from ._linalg import SpanTracker, kernel_basis, solve_span
+from ._linalg import SpanTracker, _addmul, kernel_basis, solve_span
 
 
 class DegreeBoundTooSmall(RuntimeError):
@@ -246,9 +251,10 @@ def ring_of_constants(D, max_total):
     terms.
 
     The image of a monomial comes from the images D(x_i) by the Leibniz
-    rule, D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each D(x_i),
-    scaled by e_i mod p and shifted by e - 1_i. Only a sum with an exponent
-    at or above a relation's degree is put in normal form.
+    rule, D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each
+    nonzero D(x_i), scaled by e_i mod p and shifted by e - 1_i, as _vector
+    holds them. An image is put in normal form only when a term can reach a
+    relation's degree, which each term of D(x_i) decides once.
 
     A monomial with a zero image is a constant by itself. An image that
     shares no monomial with any other is independent of all of them, so it
@@ -263,52 +269,76 @@ def ring_of_constants(D, max_total):
     if needed > MONOMIAL_BUDGET:
         raise MonomialBudgetExceeded(max_total, needed, MONOMIAL_BUDGET)
     monos = chart.reduced_monomials(max_total)
-    degrees = [(rel.index, rel.degree) for rel in chart.relations]
-    images = [g.terms for g in D.coeffs]
-    scaled = {}  # (i, k) -> the terms of k * D(x_i)
+    field = domain if isinstance(domain, gf.Field) else None
+    # r mod p as a scalar of the vectors: the code of r is r itself
+    scalars = range(p) if field else [domain.from_int(r) for r in range(p)]
+    images = []  # (i, {e_f - 1_i: coefficient of x^e_f in D(x_i)}, reach)
+    for i, g in enumerate(D.coeffs):
+        if not g.terms:
+            continue
+        shifts = {tuple(k - (j == i) for j, k in enumerate(f)): c
+                  for f, c in _vector(g).items()}
+        # (j, m): from x_j^m on, some term lifts x_j to its relation's degree
+        reach = [(rel.index, rel.degree - lift) for rel in chart.relations
+                 if (lift := max(s[rel.index] for s in shifts)) > 0]
+        images.append((i, shifts, reach))
+    scaled = {}  # (i, r) -> the items of r * D(x_i), keyed by shift
     vectors = []
     holders = {}  # monomial -> how many images hold it
     for e in monos:
         terms = {}
-        for i, k in enumerate(e):
-            r = k % p
+        reduce = False
+        for i, shifts, reach in images:
+            r = e[i] % p
             if not r:
                 continue
             img = scaled.get((i, r))
             if img is None:
-                c = domain.from_int(r)
-                img = scaled[i, r] = [(f, a * c) for f, a in images[i].items()]
-            base = e[:i] + (k - 1,) + e[i + 1 :]
-            for f, a in img:
-                e2 = tuple(x + y for x, y in zip(base, f))
-                s = terms.get(e2)
-                s = a if s is None else s + a
-                if s:
-                    terms[e2] = s
-                elif e2 in terms:
-                    del terms[e2]
-        if any(e2[i] >= d for e2 in terms for i, d in degrees):
-            terms = chart.nf(MultiPoly(domain, chart.vars, terms)).terms
+                img = scaled[i, r] = list(_addmul(field, {}, shifts, scalars[r]).items())
+            if terms:
+                _addmul(field, terms, {tuple(map(add, e, s)): a for s, a in img},
+                        scalars[1])
+            else:
+                for s, a in img:
+                    terms[tuple(map(add, e, s))] = a
+            if reach and not reduce:
+                reduce = any(e[j] >= m for j, m in reach)
+        if reduce:
+            terms = _vector(chart.nf(_poly(domain, chart.vars, terms)))
         vectors.append(terms)
         for e2 in terms:
             holders[e2] = holders.get(e2, 0) + 1
-    coupled = [i for i, terms in enumerate(vectors)
-               if any(holders[e2] > 1 for e2 in terms)]
+    shared = {e2 for e2, n in holders.items() if n > 1}
+    coupled = [i for i, terms in enumerate(vectors) if not shared.isdisjoint(terms)]
     # kernel_basis gives the dependent vector itself the int 1; its index is
     # the largest in the relation, so relations come in the order of it
     relations = {
         coupled[max(rel)]: {coupled[j]: c for j, c in rel.items()}
-        for rel in kernel_basis([vectors[i] for i in coupled])
+        for rel in kernel_basis([vectors[i] for i in coupled], domain)
     }
     out = []
     for i, terms in enumerate(vectors):
         rel = {i: 1} if not terms else relations.get(i)
         if rel is None:
             continue
-        out.append(MultiPoly(domain, chart.vars, {
-            monos[j]: domain.from_int(c) if isinstance(c, int) else c
-            for j, c in rel.items()}))
+        out.append(_poly(domain, chart.vars, {monos[j]: c for j, c in rel.items()}))
     return out
+
+
+def _vector(f):
+    """f's terms as a SpanTracker over f's domain holds them."""
+    if isinstance(f.domain, gf.Field):
+        return {e: c.n for e, c in f.terms.items()}
+    return f.terms
+
+
+def _poly(domain, vars, vec):
+    """The MultiPoly of a vector over domain; off a gf.Field an int is the 1
+    kernel_basis gives. A code is not from_int's: that reduces mod p."""
+    if isinstance(domain, gf.Field):
+        return MultiPoly(domain, vars, {e: gf.FieldElement(domain, n) for e, n in vec.items()})
+    return MultiPoly(domain, vars, {
+        e: domain.from_int(c) if isinstance(c, int) else c for e, c in vec.items()})
 
 
 def _generator_monomials(chart, gens, bound):
@@ -318,15 +348,17 @@ def _generator_monomials(chart, gens, bound):
     its reduced degree still fits the bound, and only extend it further when
     it enlarged the span (a dependent product is a linear combination of kept
     ones, so its multiples add nothing to the span). Each product goes into
-    one SpanTracker, tagged by its exponent tuple, as it is found. Returns
-    the (exponents, reduced product) list in that order, the tracker, and
-    (exponents, certificate) for each dependent product: the certificate
-    writes it in the tags of earlier products, so it is one relation.
+    one SpanTracker over the chart's domain, tagged by its exponent tuple, as
+    it is found. Returns the (exponents, _vector of the reduced product) list
+    in that order, the tracker, and (exponents, certificate) for each
+    dependent product: the certificate writes it in the tags of earlier
+    products, so it is one relation.
     """
     zero_exps = (0,) * len(gens)
-    out = [(zero_exps, chart.one())]
-    tracker = SpanTracker()
-    tracker.insert(chart.one().terms, zero_exps)
+    one = _vector(chart.one())
+    out = [(zero_exps, one)]
+    tracker = SpanTracker(chart.domain)
+    tracker.insert(one, zero_exps)
     dependencies = []
     seen = {zero_exps}
     work = [(zero_exps, chart.one())]
@@ -340,8 +372,9 @@ def _generator_monomials(chart, gens, bound):
             prod = chart.nf(poly * g)
             if prod.degree() > bound:
                 continue
-            out.append((e2, prod))
-            cert = tracker.insert(prod.terms, e2)
+            vec = _vector(prod)
+            out.append((e2, vec))
+            cert = tracker.insert(vec, e2)
             if cert is None:
                 work.append((e2, prod))
             else:
@@ -425,7 +458,7 @@ def frobenius_factorization_check(D):
     for k, cand in enumerate(constants):
         if cand.degree() == 0:
             continue
-        residual, _ = tracker.reduce(cand.terms)
+        residual, _ = tracker.reduce(_vector(cand))
         if not residual:
             continue
         gens.append(cand)
@@ -433,7 +466,7 @@ def frobenius_factorization_check(D):
         _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     # every later constant reduced to zero on this final tracker already, and
     # a constant of degree 0 is a multiple of the product 1 it starts from
-    generated = all(not tracker.reduce(c.terms)[0]
+    generated = all(not tracker.reduce(_vector(c))[0]
                     for c in constants[:last] if c.degree() > 0)
 
     names = []
@@ -454,18 +487,18 @@ def frobenius_factorization_check(D):
 
     relations = []
     for exps, cert in dependencies:
-        terms = {k: -c for k, c in cert.items()}
-        terms[exps] = one
-        relations.append(MultiPoly(chart.domain, names, terms))
+        rel = _addmul(tracker.field, {}, cert, -1)
+        rel[exps] = 1
+        relations.append(_poly(chart.domain, names, rel))
 
     certs = {}
     for v, target in targets.items():
-        residual, combo = tracker.reduce(target.terms)
+        residual, combo = tracker.reduce(_vector(target))
         if residual:
             raise DegreeBoundTooSmall(
                 f"{v}^{p} is not a combination of generator monomials of weight <= {bound}"
             )
-        certs[v] = MultiPoly(chart.domain, names, combo)
+        certs[v] = _poly(chart.domain, names, combo)
 
     relations = [extend(r) for r in relations]
     return FactorizationReport(

@@ -291,6 +291,19 @@ def test_random_points_live_on_chart_and_bias_works():
     assert 5 < cubes < 35  # both sides of the dichotomy get traffic
 
 
+@pytest.mark.parametrize("low, high", [
+    (1, 4), (0, 3), (0, adelic._FREE_TOP), (0, adelic._P_POWER_MULTIPLES),
+    *((lo, q) for q in (5, 25, 59049) for lo in (0, 1))])
+def test_randbelow_draws_what_randrange_draws(low, high):
+    # the same values from the same stream, so sampled points keep their
+    # digests; several draws per seed keep the streams in step
+    for seed in range(300):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert low + adelic._randbelow(ours, high - low) == ref.randrange(low, high)
+        assert ours.random() == ref.random()
+
+
 def test_verify_equivalence_passes_with_unit_section():
     C = raynaud_chart()
     dz = OneForm.d(C, C.var("z"))

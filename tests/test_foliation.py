@@ -199,9 +199,17 @@ def _coupled_plane_derivation():
     return Derivation(C, [C.var("y"), C.one()])
 
 
-def _fq_raynaud_derivation(images):
-    C = raynaud_chart(K=F3)
+def _fq_raynaud_derivation(images, field=F3):
+    C = raynaud_chart(K=field)
     return Derivation(C, [C.poly(g) for g in images])
+
+
+F9 = gf.Field(3, 2)
+
+
+def _f9_plane_derivation(x_image):
+    C = ChartAlgebra(F9, ("x", "y"), [])
+    return Derivation(C, [C.poly(x_image), C.one()])
 
 
 # the first cases depend on t, so ring_of_constants runs over K; the presets
@@ -219,8 +227,14 @@ def _fq_raynaud_derivation(images):
     _coupled_plane_derivation,
     # every image is zero: every monomial is a constant
     lambda: _fq_raynaud_derivation(["0", "0", "0"]),
+    # over F_9 the vectors hold codes up to 8 and go through the log tables;
+    # u*y*d/dx + d/dy has constants whose coefficients lie outside F_3
+    lambda: _fq_raynaud_derivation(["0", "1", "0"], F9),
+    lambda: _f9_plane_derivation("y"),
+    lambda: _f9_plane_derivation("u*y"),
 ], ids=["t*y*d/dx + d/dy", "z^3 - t^3*y^3 - t*x", "z^2 - y^3 - t*x",
-        "F_3 d/dy on z^2 - y^3 - x", "F_3 y*d/dx + d/dy", "F_3 zero derivation"])
+        "F_3 d/dy on z^2 - y^3 - x", "F_3 y*d/dx + d/dy", "F_3 zero derivation",
+        "F_9 d/dy on z^2 - y^3 - x", "F_9 y*d/dx + d/dy", "F_9 u*y*d/dx + d/dy"])
 def test_ring_of_constants_matches_applying_D_to_each_monomial(make):
     D = make()
     C = D.chart
@@ -242,9 +256,9 @@ def _recording_kernel_basis(monkeypatch):
 
     spanned = []
 
-    def recording(vectors):
+    def recording(vectors, *args):
         spanned.append(list(vectors))
-        return kernel_basis(vectors)
+        return kernel_basis(vectors, *args)
 
     monkeypatch.setattr(foliation, "kernel_basis", recording)
     return spanned
@@ -315,9 +329,9 @@ def test_factorization_builds_one_span_per_closure_round(monkeypatch):
     trackers = []
     init = SpanTracker.__init__
 
-    def counting_init(self):
+    def counting_init(self, *args):
         trackers.append(self)
-        init(self)
+        init(self, *args)
 
     monkeypatch.setattr(SpanTracker, "__init__", counting_init)
     rep = frobenius_factorization_check(Dm)

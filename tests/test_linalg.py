@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from charfol import gf
-from charfol._linalg import SpanTracker, solve_span
+from charfol._linalg import SpanTracker, kernel_basis, solve_span
 
 F5 = gf.Field(5)
 
@@ -82,3 +84,34 @@ def test_tracker_reads_only_the_rows_it_must():
         assert row == {i: one}
         assert rcombo == {i: one, 500: -one}
     assert tracker.cols[1000] == {500}
+
+
+@pytest.mark.parametrize("field", [F5, gf.Field(5, 2)], ids=["F_5", "F_25"])
+def test_codes_and_elements_track_the_same_span(field):
+    rng = random.Random(field.q)
+
+    def elements(vec):
+        return {k: gf.FieldElement(field, n) for k, n in vec.items()}
+
+    # 40 sparse vectors on 10 labels: many dependencies, some repeated
+    vectors = []
+    for _ in range(40):
+        vec = {k: rng.randrange(1, field.q) for k in rng.sample(range(10), rng.randrange(5))}
+        vectors.append(vec if rng.random() < 0.8 or not vectors else rng.choice(vectors))
+    codes, elems = SpanTracker(field), SpanTracker()
+    for i, vec in enumerate(vectors):
+        cert = codes.insert(vec, i)
+        want = elems.insert(elements(vec), i)
+        assert (cert is None) == (want is None)
+        if cert is not None:
+            assert elements(cert) == want
+        target = {k: rng.randrange(1, field.q) for k in rng.sample(range(10), 3)}
+        residual, combo = codes.reduce(target)
+        assert (elements(residual), elements(combo)) == elems.reduce(elements(target))
+    assert [(pivot, elements(row), elements(combo)) for pivot, row, combo in codes.rows] \
+        == elems.rows
+    assert [elements(rel) for rel in kernel_basis(vectors, field)] \
+        == kernel_basis([elements(v) for v in vectors])
+    targets = vectors[:3] + [{k: 1} for k in range(10)]
+    assert [c if c is None else elements(c) for c in solve_span(vectors, targets, field)] \
+        == solve_span([elements(v) for v in vectors], [elements(t) for t in targets])
