@@ -1,14 +1,17 @@
-"""Sparse exact linear algebra over a field.
+"""Sparse exact linear algebra over a field, and the arithmetic of term dicts.
 
 Vectors are dicts mapping hashable, mutually comparable labels to nonzero
-scalars: int codes (gf.FieldElement.n) when the tracker's domain is a
-gf.Field, its elements otherwise. Only a multiply-add (which also scales)
-and an inverse tell them apart, each mod p for e = 1 and on the log/Zech
-tables for e > 1, as in series; a scalar handed to them may be a negated
-code, -a for minus the element of code a. The tracker keeps an
-inter-reduced spanning set and, for every stored row, the combination of
-inserted originals that produced it, so dependencies come out as
-ready-made certificates.
+scalars: int codes (gf.FieldElement.n) when the field handed first to each
+function is a gf.Field, elements with their own operators when it is None.
+Codes combine mod p for e = 1 and on the log/Zech tables for e > 1, as in
+series; only _addmul's multiplier may be a negated code, -a for minus the
+element of code a. On term dicts, vectors labelled by exponent tuples,
+_addmul is the one sum, _mul the one product and _nf the one normal form:
+MultiPoly and ChartAlgebra run them on elements, the closure of the t-free
+Frobenius factorization on codes. SpanTracker keeps an inter-reduced
+spanning set and, for every stored row, the combination of inserted
+originals that produced it, so dependencies come out as ready-made
+certificates; a gf.Field domain gives it codes.
 
 Invariant: the rows are fully inter-reduced, so no row holds the pivot of
 another. Subtracting a row from a vector therefore changes no other pivot's
@@ -19,22 +22,27 @@ which rows to clear of a new pivot. Both visit rows in insertion order, so
 the field operations run in the same order as a scan of every row would.
 """
 
+from operator import add
+
 from . import gf
 
 
-def _addmul(field, dst, src, c):
-    """dst += c * src in place, c nonzero; returns dst, so that
-    _addmul(field, {}, src, c) is c * src."""
+def _addmul(field, dst, src, c=None):
+    """dst += c * src in place, c nonzero, or dst += src for c None;
+    returns dst, so that _addmul(field, {}, src, c) is c * src."""
     if field is None:
         for k, val in src.items():
+            if c is not None:
+                val = val * c
             s = dst.get(k)
-            s = val * c if s is None else s + val * c
+            s = val if s is None else s + val
             if s:
                 dst[k] = s
             elif k in dst:
                 del dst[k]
     elif field.e == 1:
         p = field.p
+        c = 1 if c is None else c
         for k, val in src.items():
             s = (dst.get(k, 0) + val * c) % p
             if s:
@@ -44,7 +52,7 @@ def _addmul(field, dst, src, c):
     else:
         log, exp, zech, q1 = field.log, field.exp, field.zech, field.q - 1
         # -a is minus the element of code a; -1 has the log of code p - 1
-        lc = log[c] if c > 0 else (log[-c] + log[field.p - 1]) % q1
+        lc = 0 if c is None else log[c] if c > 0 else (log[-c] + log[field.p - 1]) % q1
         for k, val in src.items():
             x = (lc + log[val]) % q1
             s = dst.get(k)
@@ -56,6 +64,73 @@ def _addmul(field, dst, src, c):
             else:
                 del dst[k]
     return dst
+
+
+def _mul(field, a, b):
+    """The product of the term dicts a and b, summed in the order of the
+    double loop over a, then b."""
+    out = {}
+    right = b.items()
+    if field is None:
+        for e1, c1 in a.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                s = out.get(e)
+                s = c if s is None else s + c
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+    elif field.e == 1:
+        p = field.p
+        for e1, c1 in a.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = (out.get(e, 0) + c1 * c2) % p
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]  # c1 * c2 is nonzero, so e was there
+    else:
+        log, exp, zech, q1 = field.log, field.exp, field.zech, field.q - 1
+        for e1, c1 in a.items():
+            l1 = log[c1]
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                x = (l1 + log[c2]) % q1
+                s = out.get(e)
+                if s is None:
+                    out[e] = exp[x]
+                elif (z := zech[x - log[s]]) >= 0:
+                    out[e] = exp[log[s] + z]
+                else:
+                    del out[e]
+    return out
+
+
+def _nf(field, f, rules):
+    """The normal form of the term dict f, f itself when it is reduced.
+
+    rules are (i, d, rewrite), one per triangular monic relation: x_i^d is
+    congruent to the term dict rewrite, of lower degree in x_i. Raises
+    RuntimeError when 200 passes over the rules do not stabilize f.
+    """
+    for _ in range(200):
+        before = f
+        for i, d, rewrite in rules:
+            while any(e[i] >= d for e in f):
+                # f = low + x_i^d * high
+                low, high = {}, {}
+                for e, c in f.items():
+                    if e[i] < d:
+                        low[e] = c
+                    else:
+                        high[e[:i] + (e[i] - d,) + e[i + 1 :]] = c
+                f = _addmul(field, _mul(field, high, rewrite), low)
+        if f is before or f == before:
+            return f
+    raise RuntimeError("normal form did not stabilize; relations are not triangular")
 
 
 class SpanTracker:

@@ -228,7 +228,7 @@ class QuotientPresentation:
         # the span check runs over F_q when the chart and images are t-free
         chart, image_list = (restrict_to_field(source, image_list)
                              or (source, image_list))
-        products, _, _ = _generator_monomials(chart, image_list, bound)
+        products, _, _ = _generator_monomials(chart, [_vector(f) for f in image_list], bound)
         vectors = [vec for _, vec in products]
         targets = [_vector(chart.nf(chart.var(s) ** p)) for s in chart.vars]
         for s, combo in zip(source.vars, solve_span(vectors, targets, chart.domain)):

@@ -3,12 +3,12 @@
 A MultiPoly is a dict from exponent tuples to nonzero coefficients, over a
 coefficient domain that is either gf.Field or FunField (= F_q(t) with RatFunc
 elements). Chart algebras carry triangular monic relations and provide the
-normal form every other module relies on for equality.
+normal form every other module relies on for equality. Sums, products and
+normal forms are _linalg's kernels on term dicts, run on elements here.
 """
 
-from operator import add
-
 from . import gf
+from ._linalg import _addmul, _mul, _nf
 
 
 class PolySyntaxError(ValueError):
@@ -82,14 +82,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
+        terms = _addmul(None, dict(self.terms), other.terms)
         return MultiPoly._of(self.domain, self.vars, terms)
 
     __radd__ = __add__
@@ -110,19 +103,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return MultiPoly._of(self.domain, self.vars, terms)
+        return MultiPoly._of(self.domain, self.vars, _mul(None, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -175,23 +156,14 @@ class MultiPoly:
         return max(e[i] for e in self.terms)
 
     def partial(self, name):
-        """d/d(name); exponents act through the prime subfield."""
+        """d/d(name); exponents act through the prime subfield. Distinct
+        terms stay distinct, so nothing is summed."""
         i = self.vars.index(name)
         terms = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                continue
-            kc = c * self.domain.from_int(k)
-            if not kc:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1 :]
-            s = terms.get(e2)
-            s = kc if s is None else s + kc
-            if s:
-                terms[e2] = s
-            elif e2 in terms:
-                del terms[e2]
+            if k and (kc := c * self.domain.from_int(k)):
+                terms[e[:i] + (k - 1,) + e[i + 1 :]] = kc
         return MultiPoly._of(self.domain, self.vars, terms)
 
     def map_coeffs(self, fn, domain=None):
@@ -289,13 +261,7 @@ def uni_divmod(f, g):
     while d >= dg:
         c = r[(d,)] / glead
         q[(d - dg,)] = c
-        for (k,), gc in g.terms.items():
-            key = (k + d - dg,)
-            s = r.get(key, f.domain.zero()) - c * gc
-            if s:
-                r[key] = s
-            elif key in r:
-                del r[key]
+        _addmul(None, r, {(k + d - dg,): gc for (k,), gc in g.terms.items()}, -c)
         d = rdeg()
     return (
         MultiPoly(f.domain, f.vars, q),
@@ -749,7 +715,8 @@ class SolvePlan:
 class ChartAlgebra:
     """domain[vars] / (relations), relations triangular and monic."""
 
-    __slots__ = ("domain", "vars", "relations", "solve_plan")
+    # rules: (index, degree, rewrite terms) per relation, as _nf takes them
+    __slots__ = ("domain", "vars", "relations", "rules", "solve_plan")
 
     def __init__(self, domain, vars, relations=()):
         self.domain = domain
@@ -765,6 +732,7 @@ class ChartAlgebra:
             seen.add(rel.var)
             rels.append(rel)
         self.relations = tuple(rels)
+        self.rules = tuple((rel.index, rel.degree, rel.rewrite.terms) for rel in rels)
 
     def __getattr__(self, name):
         # only an unset slot lands here: the solve plan is built on first use
@@ -788,31 +756,13 @@ class ChartAlgebra:
     def poly(self, text):
         return parse_poly(text, self.vars, self.domain)
 
-    def _reduce_once(self, f, rel):
-        i, d = rel.index, rel.degree
-        while any(e[i] >= d for e in f.terms):
-            # f = low + var^d * high, and var^d is congruent to rel.rewrite
-            low, high = {}, {}
-            for e, c in f.terms.items():
-                if e[i] < d:
-                    low[e] = c
-                else:
-                    high[e[:i] + (e[i] - d,) + e[i + 1 :]] = c
-            f = (MultiPoly._of(self.domain, self.vars, high) * rel.rewrite
-                 + MultiPoly._of(self.domain, self.vars, low))
-        return f
-
     def normal_form(self, f):
-        """Unique reduced representative modulo the relation ideal."""
+        """Unique reduced representative modulo the relation ideal; f itself
+        when it is reduced."""
         if f.vars != self.vars or f.domain != self.domain:
             raise ValueError("polynomial does not live on this chart")
-        for _ in range(200):
-            before = f
-            for rel in self.relations:
-                f = self._reduce_once(f, rel)
-            if f is before or f == before:
-                return f
-        raise RuntimeError("normal form did not stabilize; relations are not triangular")
+        terms = _nf(None, f.terms, self.rules)
+        return f if terms is f.terms else MultiPoly._of(self.domain, self.vars, terms)
 
     nf = normal_form
 

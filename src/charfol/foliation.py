@@ -10,7 +10,9 @@ The ring of constants applies D to monomials by the Leibniz rule, from the
 images D(x_i). When the chart and D have only coefficients constant in t,
 the factorization runs over F_q and extends its results back to K: from the
 Leibniz images to the certificates, vectors hold F_q codes, as SpanTracker
-does over a gf.Field, and become FieldElements where they become MultiPolys.
+does over a gf.Field, and become FieldElements where they become MultiPolys;
+_linalg's term-dict product and normal form reduce images and closure
+products on the codes, as MultiPoly and ChartAlgebra do on elements.
 """
 
 from operator import add
@@ -18,7 +20,7 @@ from operator import add
 from . import gf
 from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
 from .differentials import _elimination, reduce_form
-from ._linalg import SpanTracker, _addmul, kernel_basis, solve_span
+from ._linalg import SpanTracker, _addmul, _mul, _nf, kernel_basis, solve_span
 
 
 class DegreeBoundTooSmall(RuntimeError):
@@ -270,6 +272,7 @@ def ring_of_constants(D, max_total):
         raise MonomialBudgetExceeded(max_total, needed, MONOMIAL_BUDGET)
     monos = chart.reduced_monomials(max_total)
     field = domain if isinstance(domain, gf.Field) else None
+    rules = _rules(chart, field)
     # r mod p as a scalar of the vectors: the code of r is r itself
     scalars = range(p) if field else [domain.from_int(r) for r in range(p)]
     images = []  # (i, {e_f - 1_i: coefficient of x^e_f in D(x_i)}, reach)
@@ -304,7 +307,7 @@ def ring_of_constants(D, max_total):
             if reach and not reduce:
                 reduce = any(e[j] >= m for j, m in reach)
         if reduce:
-            terms = _vector(chart.nf(_poly(domain, chart.vars, terms)))
+            terms = _nf(field, terms, rules)
         vectors.append(terms)
         for e2 in terms:
             holders[e2] = holders.get(e2, 0) + 1
@@ -332,49 +335,64 @@ def _vector(f):
     return f.terms
 
 
+def _rules(chart, field):
+    """chart.rules with each rewrite a vector over field (None: elements)."""
+    return chart.rules if field is None else [
+        (i, d, {e: c.n for e, c in rewrite.items()}) for i, d, rewrite in chart.rules]
+
+
+def _degree(vec):
+    """Total degree of a vector's polynomial; -1 for the empty vector."""
+    return max(map(sum, vec), default=-1)
+
+
 def _poly(domain, vars, vec):
-    """The MultiPoly of a vector over domain; off a gf.Field an int is the 1
-    kernel_basis gives. A code is not from_int's: that reduces mod p."""
+    """The MultiPoly of a vector over domain, on the tuple vars; off a
+    gf.Field an int is the 1 kernel_basis gives. A code is not from_int's:
+    that reduces mod p. A vector holds no zero, so no filter runs."""
     if isinstance(domain, gf.Field):
-        return MultiPoly(domain, vars, {e: gf.FieldElement(domain, n) for e, n in vec.items()})
-    return MultiPoly(domain, vars, {
+        return MultiPoly._of(domain, vars, {e: gf.FieldElement(domain, n) for e, n in vec.items()})
+    return MultiPoly._of(domain, vars, {
         e: domain.from_int(c) if isinstance(c, int) else c for e, c in vec.items()})
 
 
 def _generator_monomials(chart, gens, bound):
     """gens-monomials discovered by closure, their span and its relations.
 
-    Breadth-first: extend a product by one generator at a time, keep it when
-    its reduced degree still fits the bound, and only extend it further when
-    it enlarged the span (a dependent product is a linear combination of kept
-    ones, so its multiples add nothing to the span). Each product goes into
-    one SpanTracker over the chart's domain, tagged by its exponent tuple, as
-    it is found. Returns the (exponents, _vector of the reduced product) list
-    in that order, the tracker, and (exponents, certificate) for each
-    dependent product: the certificate writes it in the tags of earlier
-    products, so it is one relation.
+    gens are vectors, as _vector gives them. Breadth-first: extend a product
+    by one generator at a time, keep it when its reduced degree still fits
+    the bound, and only extend it further when it enlarged the span (a
+    dependent product is a linear combination of kept ones, so its multiples
+    add nothing to the span). Products are term dicts, multiplied and
+    reduced by _mul and _nf on the tracker's scalars; no MultiPoly is built.
+    Each product goes into one SpanTracker over the chart's domain, tagged by
+    its exponent tuple, as it is found. Returns the (exponents, reduced
+    product) list in that order, the tracker, and (exponents, certificate)
+    for each dependent product: the certificate writes it in the tags of
+    earlier products, so it is one relation.
     """
-    zero_exps = (0,) * len(gens)
-    one = _vector(chart.one())
-    out = [(zero_exps, one)]
     tracker = SpanTracker(chart.domain)
+    field = tracker.field
+    rules = _rules(chart, field)
+    zero_exps = (0,) * len(gens)
+    one = {(0,) * len(chart.vars): 1 if field else chart.domain.one()}
+    out = [(zero_exps, one)]
     tracker.insert(one, zero_exps)
     dependencies = []
     seen = {zero_exps}
-    work = [(zero_exps, chart.one())]
+    work = [(zero_exps, one)]
     while work:
-        exps, poly = work.pop(0)
+        exps, vec = work.pop(0)
         for k, g in enumerate(gens):
             e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
             if e2 in seen:
                 continue
             seen.add(e2)
-            prod = chart.nf(poly * g)
-            if prod.degree() > bound:
+            prod = _nf(field, _mul(field, vec, g), rules)
+            if _degree(prod) > bound:
                 continue
-            vec = _vector(prod)
-            out.append((e2, vec))
-            cert = tracker.insert(vec, e2)
+            out.append((e2, prod))
+            cert = tracker.insert(prod, e2)
             if cert is None:
                 work.append((e2, prod))
             else:
@@ -447,34 +465,37 @@ def frobenius_factorization_check(D):
         D = Derivation(*restricted)
     chart = D.chart
     p = chart.domain.p
-    one = chart.domain.one()
     targets = {v: chart.nf(chart.var(v) ** p) for v in chart.vars}
     bound = max(3 * p, *(t.degree() for t in targets.values()))
     constants = ring_of_constants(D, bound)
+    vectors = [_vector(c) for c in constants]
 
-    gens = []
+    gens, accepted = [], []  # the generators' vectors and constants
     last = 0  # the index of the last accepted generator
     _, tracker, dependencies = _generator_monomials(chart, gens, bound)
-    for k, cand in enumerate(constants):
-        if cand.degree() == 0:
+    for k, vec in enumerate(vectors):
+        if _degree(vec) == 0:
             continue
-        residual, _ = tracker.reduce(_vector(cand))
+        residual, _ = tracker.reduce(vec)
         if not residual:
             continue
-        gens.append(cand)
+        gens.append(vec)
+        accepted.append(constants[k])
         last = k
         _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     # every later constant reduced to zero on this final tracker already, and
     # a constant of degree 0 is a multiple of the product 1 it starts from
-    generated = all(not tracker.reduce(_vector(c))[0]
-                    for c in constants[:last] if c.degree() > 0)
+    generated = all(not tracker.reduce(vec)[0]
+                    for vec in vectors[:last] if _degree(vec) > 0)
 
+    # the scalar of one in the vectors
+    one = 1 if tracker.field else chart.domain.one()
     names = []
     counter = 1
     for g in gens:
         name = None
-        if len(g.terms) == 1:
-            ((e, c),) = g.terms.items()
+        if len(g) == 1:
+            ((e, c),) = g.items()
             if sum(e) == 1 and c == one:
                 name = chart.vars[e.index(1)]
         if name is None or name in names:
@@ -502,7 +523,7 @@ def frobenius_factorization_check(D):
 
     relations = [extend(r) for r in relations]
     return FactorizationReport(
-        [(n, extend(g)) for n, g in zip(names, gens)],
+        [(n, extend(g)) for n, g in zip(names, accepted)],
         _chart_from_relations(source, names, relations),
         relations,
         {v: extend(c) for v, c in certs.items()},

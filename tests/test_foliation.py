@@ -5,12 +5,14 @@ import random
 import pytest
 
 from charfol import gf
-from charfol.algebra import ChartAlgebra, FunField, MultiPoly, parse_poly
+from charfol.algebra import ChartAlgebra, FunField, MultiPoly, parse_poly, restrict_to_field
 from charfol.differentials import OneForm
-from charfol._linalg import kernel_basis
+from charfol._linalg import SpanTracker, kernel_basis
 from charfol.foliation import (
     Derivation,
     _free_divide,
+    _generator_monomials,
+    _vector,
     _try_exact_divide,
     bracket,
     frobenius_factorization_check,
@@ -341,6 +343,65 @@ def test_factorization_builds_one_span_per_closure_round(monkeypatch):
     rounds = len(rep.generators) + 1
     assert calls == {"kernel_basis": 1, "solve_span": 0, "_generator_monomials": rounds}
     assert len(trackers) == 1 + rounds
+
+
+def _closure_on_polys(chart, gens, bound):
+    """The closure with MultiPoly arithmetic: each product is
+    chart.nf(poly * g), converted to codes for the tracker."""
+    zero_exps = (0,) * len(gens)
+    tracker = SpanTracker(chart.domain)
+    out = [(zero_exps, _vector(chart.one()))]
+    tracker.insert(out[0][1], zero_exps)
+    dependencies = []
+    seen = {zero_exps}
+    work = [(zero_exps, chart.one())]
+    while work:
+        exps, poly = work.pop(0)
+        for k, g in enumerate(gens):
+            e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
+            if e2 in seen:
+                continue
+            seen.add(e2)
+            prod = chart.nf(poly * g)
+            if prod.degree() > bound:
+                continue
+            out.append((e2, _vector(prod)))
+            cert = tracker.insert(_vector(prod), e2)
+            if cert is None:
+                work.append((e2, prod))
+            else:
+                dependencies.append((e2, cert))
+    return out, tracker, dependencies
+
+
+@pytest.mark.parametrize("q", [7, 49])
+def test_closure_builds_no_polynomial(monkeypatch, q):
+    from charfol.cli import preset_chart
+    from charfol.descent import descend_algebra, descend_derivation
+
+    chart, D, _ = preset_chart("raynaud-local", 7, 4, q)
+    Dm = descend_derivation(D, descend_algebra(chart))
+    rep = frobenius_factorization_check(Dm)
+    # the closure's chart and generators over F_q, as the factorization has them
+    fchart, gens = restrict_to_field(Dm.chart, [g for _, g in rep.generators])
+    bound = rep.degree_bound
+    want, want_tracker, want_deps = _closure_on_polys(fchart, gens, bound)
+    vectors = [_vector(g) for g in gens]
+
+    def refuse(*args):
+        raise AssertionError("the closure built a MultiPoly")
+
+    for name in ("__init__", "_of", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    for name in ("normal_form", "nf"):
+        monkeypatch.setattr(ChartAlgebra, name, refuse)
+    got, tracker, deps = _generator_monomials(fchart, vectors, bound)
+    assert got == want
+    assert tracker.rows == want_tracker.rows
+    assert deps == want_deps
+    # the generators are monomials, so a product of two terms is one that
+    # z^4 = y^7 + x reduced
+    assert all(len(v) == 1 for v in vectors) and any(len(v) > 1 for _, v in got)
 
 
 def _zero_derivation(p, e, vars, rel):

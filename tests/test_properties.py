@@ -9,10 +9,12 @@ of rational functions and RatFunc normalisation, over random F_q with
 q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
 against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
-forms (idempotent, blind to the relation ideal) and the descent p-th roots
-in K = F_q(t) and in polynomial rings over F_q and K; MultiPoly one-term
-products and powers against the schoolbook double loop, over F_q with p in
-{2, 3, 5, 7}, e <= 4, and over F_q(t)."""
+forms (idempotent, blind to the relation ideal); the term-dict sum, product
+and normal form on F_q codes against the same kernels on elements over F_5,
+F_25 and F_27; the descent p-th roots in K = F_q(t) and in polynomial rings
+over F_q and K; MultiPoly one-term products and powers against the
+schoolbook double loop, over F_q with p in {2, 3, 5, 7}, e <= 4, and over
+F_q(t)."""
 
 import operator
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charfol import gf
-from charfol._linalg import SpanTracker, kernel_basis, solve_span
+from charfol._linalg import SpanTracker, _addmul, _mul, _nf, kernel_basis, solve_span
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
 from charfol.descent import (
     NoDescent,
@@ -30,6 +32,7 @@ from charfol.descent import (
     multipoly_pth_root,
     pth_root_K,
 )
+from charfol.foliation import _rules
 from charfol.series import DivisionByZeroSeries, LaurentSeries, evaluate, from_codes
 
 FIELDS = [gf.Field(p, e) for p in (3, 5, 7) for e in (1, 2)]
@@ -685,6 +688,49 @@ def test_normal_form_is_blind_to_the_relation_ideal(data):
     g = data.draw(chart_polys(chart.domain, chart.vars, max_exp=2, max_terms=2))
     rel = data.draw(st.sampled_from(chart.relations))
     assert chart.nf(f + g * rel.poly) == chart.nf(f)
+
+
+CODE_FIELDS = [gf.Field(5), gf.Field(5, 2), gf.Field(3, 3)]
+# two triangular relations over each field, the second one's rewrite holding y
+CODE_CHARTS = [_chart(F, ("x", "y", "z"), [("y^2 - x", "y"), ("z^3 - y*z - x", "z")])
+               for F in CODE_FIELDS]
+
+
+def _term_dicts(field, max_exp=3, max_terms=4):
+    """Term dicts on three variables holding nonzero codes; may be empty."""
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * 3),
+                           st.integers(1, field.q - 1), max_size=max_terms)
+
+
+def _elems(field, vec):
+    """A term dict of codes with each code read as its element."""
+    return {e: gf.FieldElement(field, n) for e, n in vec.items()}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_term_dict_kernels_on_codes_match_elements(data):
+    chart = data.draw(st.sampled_from(CODE_CHARTS))
+    F = chart.domain
+    a, b = data.draw(_term_dicts(F)), data.draw(_term_dicts(F))
+    neg_b = {e: (-gf.FieldElement(F, n)).n for e, n in b.items()}
+    c = data.draw(st.integers(1, F.q - 1))
+    products = (_mul(F, a, b), _mul(None, _elems(F, a), _elems(F, b)))
+    assert _elems(F, products[0]) == products[1]
+    assert _elems(F, _addmul(F, dict(a), b)) == _addmul(None, _elems(F, a), _elems(F, b))
+    assert (_elems(F, _addmul(F, dict(a), b, c))
+            == _addmul(None, _elems(F, a), _elems(F, b), gf.FieldElement(F, c)))
+    # sums that cancel: b - b, a*b + a*(-b), and the empty dict either way
+    assert _addmul(F, dict(b), neg_b) == {} == _addmul(None, _elems(F, b), _elems(F, neg_b))
+    assert _addmul(F, _mul(F, a, b), _mul(F, a, neg_b)) == {}
+    assert _mul(F, a, {}) == {} == _mul(None, {}, _elems(F, b))
+    # the normal form against the chart's element rules, and against nf
+    code_rules = _rules(chart, F)
+    for vec, elems in ((a, _elems(F, a)), products):
+        reduced = _nf(F, vec, code_rules)
+        assert _elems(F, reduced) == _nf(None, elems, chart.rules)
+        assert _elems(F, reduced) == chart.nf(MultiPoly(F, chart.vars, elems)).terms
+    assert _nf(F, {}, code_rules) == {}
 
 
 @settings(deadline=None)
