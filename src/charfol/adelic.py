@@ -404,10 +404,11 @@ def random_local_point(chart, rng, N=64):
     """A random point on the chart, each free coordinate a short random
     series that is purely a p-th power with probability 1/2. One relation
     variable is solved exactly when it appears linearly with a unit
-    coefficient; otherwise the designated variable is completed by Newton.
-    Draws again, up to _POINT_TRIES times, when a draw hits a non-simple
-    root or misses the chart. The chart's solve plan says which variable
-    is solved and how."""
+    coefficient; otherwise the designated variable is completed by Newton,
+    whose substitution check at precision N certifies the one relation, so
+    the point is not checked again by make_point. Draws again, up to
+    _POINT_TRIES times, when a draw hits a non-simple root or misses the
+    chart. The chart's solve plan says which variable is solved and how."""
     field = _base_field(chart)
     plan = chart.solve_plan
     solve_var, newton_var = plan.solve_var, plan.newton_var
@@ -426,6 +427,7 @@ def random_local_point(chart, rng, N=64):
                 coords = solve_coordinate(chart, coords, newton_var, N)
             except NotSimpleRoot:
                 continue
+            return LocalPoint(chart, {v: coords[v] for v in chart.vars}, N)
         try:
             return make_point(chart, coords, N)
         except NotOnVariety:

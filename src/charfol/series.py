@@ -11,9 +11,10 @@ the precision as it is returns the other factor itself. A result that is
 normal by construction skips the rescan for leading and trailing zeros. Over
 prime fields the codes are the values mod p: +, - and d/dt reduce inline,
 Frobenius powers and p-th roots copy codes (c^p = c), and a product packs
-the codes with struct into 1-, 2-, 4- or 8-byte slots of one big integer
-(Kronecker substitution; a code fills at most 2 bytes as q <= 2^16) so a
-single native multiply does the convolution. Over F_q with e > 1 every
+the codes into 1-, 2-, 4- or 8-byte slots of one big integer (Kronecker
+substitution; a code fills at most 2 bytes as q <= 2^16) so a single native
+multiply does the convolution: one-byte slots with bytes and a translate
+table, wider ones with struct. Over F_q with e > 1 every
 kernel reads the gf.Field log, exp and Zech tables: a sum is one Zech
 lookup per code, a negation a log shift by (q-1)/2 (none for p = 2), and a
 scaling, a Frobenius power or a p-th root one list pass. A monomial c*t^v
@@ -23,8 +24,10 @@ pass. A series never changes, so it keeps the powers asked of it, its
 reciprocal (power -1) among them, and a divisor used again is inverted once.
 evaluate is the one substitution of series into a polynomial over F_q or
 F_q(t); a polynomial never changes either, so it keeps its coefficient
-series per precision and each coefficient is converted once (a constant
-over F_q straight to its code, one over F_q(t) through from_ratfunc).
+series per precision with the converter that finds them, made once, and
+each coefficient is converted once (a constant over F_q straight to its
+code, one over F_q(t) through from_ratfunc). A constant polynomial, or
+zero, is served its kept series without a substitution.
 """
 
 import struct
@@ -45,15 +48,24 @@ class NotSimpleRoot(ValueError):
     pass
 
 
+# the residues mod m of 0..255, for every m with (m-1)^2 < 256: one
+# bytes.translate reduces a product's one-byte slots
+_BYTE_MOD = [None, None] + [(bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)]
+
+
 def _conv_prime(p, a, b, out_len):
     """The first out_len coefficients of the convolution of nonempty code
     lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1.
     Each coefficient of the product gets a slot of 1, 2, 4 or 8 bytes, wide
-    enough for its integer value, so struct packs the codes and unpacks the
-    product in one call each."""
+    enough for its integer value. One-byte slots pack with bytes and reduce
+    with one translate; wider ones pack and unpack with struct."""
     maxval = (p - 1) * (p - 1) * min(len(a), len(b))
+    if maxval < 256:
+        raw = (int.from_bytes(bytes(a), "little")
+               * int.from_bytes(bytes(b), "little")).to_bytes(len(a) + len(b), "little")
+        return list(raw[:out_len].translate(_BYTE_MOD[p]))
     size = 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
-    fmt = "<%d" + "BHIQ"[size.bit_length() - 1]
+    fmt = "<%d" + "HIQ"[size.bit_length() - 2]
     ia = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
     ib = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
     raw = (ia * ib).to_bytes(size * (len(a) + len(b)), "little")
@@ -474,29 +486,46 @@ class LaurentSeries:
 def evaluate(poly, coords, prec):
     """poly, over F_q or F_q(t), at the series coords: each coefficient
     becomes a series to precision prec (from_ratfunc over F_q(t), a constant
-    over F_q). A polynomial never changes, so it keeps these series per
-    precision and each coefficient is converted once; they are found by the
-    coefficient's identity, as a RatFunc has no hash. The zero polynomial
-    gives the zero series."""
+    over F_q). A polynomial never changes, so per precision it keeps these
+    series and the converter that finds them by the coefficient's identity
+    (a RatFunc has no hash); each coefficient is converted once. A
+    polynomial with no variable term, a constant or zero, is its kept
+    series: nothing is substituted. Any other goes through
+    MultiPoly.evaluate."""
     try:
         kept = poly._series
     except AttributeError:
         kept = poly._series = {}
-    table = kept.get(prec)
-    if table is None:
-        domain = poly.domain
-        if isinstance(domain, FunField):
-            def convert(c):
-                return LaurentSeries.from_ratfunc(c, prec)
-        else:
-            def convert(c):
-                return LaurentSeries.constant(domain, c, prec)
-        table = kept[prec] = {id(c): convert(c) for c in poly.terms.values()}
-        if not table:
-            # the zero polynomial: MultiPoly.evaluate converts a fresh zero
-            table[None] = convert(domain.zero())
-    zero = table.get(None)
-    return poly.evaluate(coords, lambda c: table.get(id(c), zero))
+    got = kept.get(prec)
+    if got is None:
+        got = kept[prec] = _kept_series(poly, prec)
+    convert, constant = got
+    if constant is not None:
+        return constant
+    return poly.evaluate(coords, convert)
+
+
+def _kept_series(poly, prec):
+    """(convert, constant) for evaluate: convert maps each coefficient of
+    poly to its series at prec; constant is the series poly evaluates to
+    when it has no variable term, else None."""
+    domain = poly.domain
+    if isinstance(domain, FunField):
+        def series(c):
+            return LaurentSeries.from_ratfunc(c, prec)
+    else:
+        def series(c):
+            return LaurentSeries.constant(domain, c, prec)
+    terms = poly.terms
+    if not terms:
+        return None, series(domain.zero())
+    table = {id(c): series(c) for c in terms.values()}
+    if len(terms) == 1 and not any(next(iter(terms))):
+        return None, next(iter(table.values()))
+
+    def convert(c):
+        return table[id(c)]
+    return convert, None
 
 
 def newton(F, name, coords, w, N):

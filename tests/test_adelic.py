@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from charfol import adelic, gf
+from charfol import adelic, gf, series
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
 from charfol.foliation import Derivation, kernel_of_form
@@ -67,6 +67,31 @@ def test_random_local_point_completes_by_newton():
         assert z.val() == 0  # a simple root: 2z is a unit
         residual = evaluate(C.relations[0].poly, pt.coords, 32)
         assert not residual.nonzero_before(32)
+
+
+def test_newton_completion_substitutes_the_point_once(monkeypatch):
+    # newton's closing check is the one substitution of the relation at the
+    # completed point; make_point would repeat it on the same coordinates
+    F5 = gf.Field(5)
+    K5 = FunField(F5)
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(K5, vars, [(parse_poly("z^2 - y^3 - x^3", vars, K5), "z")])
+    rel = C.relations[0].poly
+    calls = []
+
+    def recording(poly, coords, prec):
+        calls.append((poly, dict(coords), prec))
+        return evaluate(poly, coords, prec)
+
+    monkeypatch.setattr(adelic, "evaluate", recording)
+    monkeypatch.setattr(series, "evaluate", recording)
+    rng = random.Random(3)
+    for _ in range(10):
+        calls.clear()
+        pt = random_local_point(C, rng, 32)
+        at_point = [c for poly, c, prec in calls if poly is rel and prec == 32
+                    and all(c[v] is s for v, s in pt.coords.items())]
+        assert len(at_point) == 1
 
 
 def test_make_point_origin():

@@ -4,7 +4,10 @@ negation, d/dt, reciprocal, division, powers and p-th roots over F_q with
 p in {2, 3, 5, 7}, e <= 4, each result in normal form, and field elements
 combined with series from either side;
 series.evaluate against a term-by-term reference over those fields and
-F_q(t), a second call reading the kept coefficient series; series conversion
+F_q(t), a second call reading the kept coefficient series, and a constant
+or zero polynomial served the same kept series each call; prime-field
+series products against the schoolbook convolution, on both sides of the
+one-byte Kronecker slot's edge; series conversion
 of rational functions and RatFunc normalisation, over random F_q with
 q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
 construction over F_5 (inverse and powers over F_9 too); sparse elimination
@@ -19,7 +22,7 @@ F_q(t)."""
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charfol import gf
 from charfol._linalg import SpanTracker, _addmul, _mul, _nf, kernel_basis, solve_span
@@ -404,12 +407,16 @@ def test_series_evaluate_is_termwise(data):
     f = data.draw(chart_polys(domain, vars))
     coords = {v: data.draw(series(field)) for v in vars}
     precs = data.draw(st.lists(st.integers(1, 24), min_size=2, max_size=2))
-    for poly in (f, MultiPoly.zero(domain, vars)):
+    constant = MultiPoly.constant(domain, vars, data.draw(_coeffs(domain).filter(bool)))
+    for poly in (f, MultiPoly.zero(domain, vars), constant):
         for _ in range(2):  # the second round reads the kept coefficient series
             for P in precs:
                 got = _assert_normal(evaluate(poly, coords, P))
                 want = _evaluate_termwise(poly, coords, P)
                 assert (got.v0, got.coeffs, got.prec) == (want.v0, want.coeffs, want.prec)
+    # a polynomial with no variable term is its kept series
+    for poly in (MultiPoly.zero(domain, vars), constant):
+        assert evaluate(poly, coords, precs[0]) is evaluate(poly, coords, precs[0])
 
 
 def test_series_evaluate_precision_can_exceed_the_working_precision():
@@ -451,12 +458,16 @@ def _codes(s):
     return [c.n for c in s.coeffs]
 
 
+# F_3 at the one-byte slot's edge: 63 codes 2 make coefficients up to
+# (p-1)^2 * 63 = 252, one byte; 64 make 256, which needs two
 @settings(deadline=None)
-@given(st.data())
-def test_prime_series_mul_is_schoolbook_convolution(data):
-    field = data.draw(prime_fields)
+@given(prime_fields.flatmap(lambda f: st.tuples(long_series(f), long_series(f))))
+@example((from_codes(PRIME_FIELDS[0], 0, [2] * 63, 130),) * 2)
+@example((from_codes(PRIME_FIELDS[0], 0, [2] * 64, 130),) * 2)
+def test_prime_series_mul_is_schoolbook_convolution(pair):
+    a, b = pair
+    field = a.field
     p = field.p
-    a, b = data.draw(long_series(field)), data.draw(long_series(field))
     ca, cb = _codes(a), _codes(b)
     full = [0] * (len(ca) + len(cb) - 1)
     for i, x in enumerate(ca):
