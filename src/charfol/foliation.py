@@ -250,7 +250,8 @@ def kernel_of_form(form):
 
 def ring_of_constants(D, max_total):
     """Basis of {f reduced, deg <= max_total : D(f) = 0}, ascending leading
-    terms.
+    terms, as vectors: term dicts as _vector gives them, codes over a
+    gf.Field and elements over F_q(t).
 
     The image of a monomial comes from the images D(x_i) by the Leibniz
     rule, D(x^e) = sum_i e_i * x^(e - 1_i) * D(x_i): the terms of each
@@ -324,7 +325,10 @@ def ring_of_constants(D, max_total):
         rel = {i: 1} if not terms else relations.get(i)
         if rel is None:
             continue
-        out.append(_poly(domain, chart.vars, {monos[j]: c for j, c in rel.items()}))
+        vec = {monos[j]: c for j, c in rel.items()}
+        if field is None:
+            vec[monos[i]] = domain.one()  # kernel_basis gives monomial i the int 1
+        out.append(vec)
     return out
 
 
@@ -356,20 +360,22 @@ def _poly(domain, vars, vec):
         e: domain.from_int(c) if isinstance(c, int) else c for e, c in vec.items()})
 
 
-def _generator_monomials(chart, gens, bound):
+def _generator_monomials(chart, gens, bound, targets=()):
     """gens-monomials discovered by closure, their span and its relations.
 
-    gens are vectors, as _vector gives them. Breadth-first: extend a product
-    by one generator at a time, keep it when its reduced degree still fits
-    the bound, and only extend it further when it enlarged the span (a
-    dependent product is a linear combination of kept ones, so its multiples
-    add nothing to the span). Products are term dicts, multiplied and
-    reduced by _mul and _nf on the tracker's scalars; no MultiPoly is built.
-    Each product goes into one SpanTracker over the chart's domain, tagged by
-    its exponent tuple, as it is found. Returns the (exponents, reduced
-    product) list in that order, the tracker, and (exponents, certificate)
-    for each dependent product: the certificate writes it in the tags of
-    earlier products, so it is one relation.
+    gens and targets are vectors, as _vector gives them. Breadth-first:
+    extend a product by one generator at a time, keep it when its reduced
+    degree still fits the bound, and only extend it further when it enlarged
+    the span (a dependent product is a linear combination of kept ones, so
+    its multiples add nothing to the span). Products are term dicts,
+    multiplied and reduced by _mul and _nf on the tracker's scalars; no
+    MultiPoly is built. Each product goes into one SpanTracker over the
+    chart's domain, tagged by its exponent tuple, as it is found. Given
+    targets, the closure stops once every target is in the span: each keeps
+    a residual, reduced by every new row, and the span only grows. Returns
+    the (exponents, reduced product) list in that order, the tracker, and
+    (exponents, certificate) for each dependent product: the certificate
+    writes it in the tags of earlier products, so it is one relation.
     """
     tracker = SpanTracker(chart.domain)
     field = tracker.field
@@ -378,10 +384,11 @@ def _generator_monomials(chart, gens, bound):
     one = {(0,) * len(chart.vars): 1 if field else chart.domain.one()}
     out = [(zero_exps, one)]
     tracker.insert(one, zero_exps)
+    residuals = _reduced(field, [dict(t) for t in targets if t], tracker.rows[-1])
     dependencies = []
     seen = {zero_exps}
     work = [(zero_exps, one)]
-    while work:
+    while work and (residuals or not targets):
         exps, vec = work.pop(0)
         for k, g in enumerate(gens):
             e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
@@ -395,9 +402,22 @@ def _generator_monomials(chart, gens, bound):
             cert = tracker.insert(prod, e2)
             if cert is None:
                 work.append((e2, prod))
+                if residuals and not _reduced(field, residuals, tracker.rows[-1]):
+                    break
             else:
                 dependencies.append((e2, cert))
     return out, tracker, dependencies
+
+
+def _reduced(field, residuals, row):
+    """The list residuals, each reduced in place by a new tracker row and
+    those reaching zero dropped; none holds a pivot of an earlier row."""
+    pivot, vec, _ = row
+    for r in residuals:
+        if pivot in r:
+            _addmul(field, r, vec, -r[pivot])
+    residuals[:] = [r for r in residuals if r]
+    return residuals
 
 
 class FactorizationReport:
@@ -467,10 +487,9 @@ def frobenius_factorization_check(D):
     p = chart.domain.p
     targets = {v: chart.nf(chart.var(v) ** p) for v in chart.vars}
     bound = max(3 * p, *(t.degree() for t in targets.values()))
-    constants = ring_of_constants(D, bound)
-    vectors = [_vector(c) for c in constants]
+    vectors = ring_of_constants(D, bound)
 
-    gens, accepted = [], []  # the generators' vectors and constants
+    gens = []  # the accepted generators' vectors
     last = 0  # the index of the last accepted generator
     _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     for k, vec in enumerate(vectors):
@@ -480,7 +499,6 @@ def frobenius_factorization_check(D):
         if not residual:
             continue
         gens.append(vec)
-        accepted.append(constants[k])
         last = k
         _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     # every later constant reduced to zero on this final tracker already, and
@@ -523,7 +541,7 @@ def frobenius_factorization_check(D):
 
     relations = [extend(r) for r in relations]
     return FactorizationReport(
-        [(n, extend(g)) for n, g in zip(names, accepted)],
+        [(n, extend(_poly(chart.domain, chart.vars, g))) for n, g in zip(names, gens)],
         _chart_from_relations(source, names, relations),
         relations,
         {v: extend(c) for v, c in certs.items()},

@@ -141,6 +141,7 @@ def _series(field, v0, codes, prec):
     s.v0 = v0
     s._c = codes
     s.prec = prec
+    s._powers = None
     return s
 
 
@@ -162,6 +163,7 @@ class LaurentSeries:
         self.field = field
         self.v0, self._c = _normal(v0, [c.n for c in coeffs], prec)
         self.prec = prec
+        self._powers = None
 
     # -- constructors --
 
@@ -377,9 +379,8 @@ class LaurentSeries:
         # memo, and a power of 1*t^0 (a product returns s) is kept as None
         if n == 1:
             return self
-        try:
-            memo = self._powers
-        except AttributeError:
+        memo = self._powers
+        if memo is None:
             memo = self._powers = {}
         got = memo.get(n)
         if got is None:

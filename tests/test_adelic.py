@@ -7,8 +7,9 @@ import pytest
 from charfol import adelic, gf, series
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
-from charfol.foliation import Derivation, kernel_of_form
+from charfol.foliation import Derivation, _generator_monomials, kernel_of_form
 from charfol.series import LaurentSeries, evaluate
+from charfol._linalg import solve_span
 from charfol.adelic import (
     LocalPoint,
     NoLift,
@@ -163,24 +164,45 @@ def test_star_condition():
     assert not star_condition(p1, [])
 
 
-def test_presentation_frobenius_on_line():
+def line_presentation(image="u^3"):
     S = ChartAlgebra(K, ("u",), [])
     T = ChartAlgebra(K, ("x",), [])
-    pres = QuotientPresentation(S, T, {"x": parse_poly("u^3", ("u",), K)})
-    good = make_point(T, {"x": LaurentSeries.t_power(F3, 3, N)}, N)
+    return QuotientPresentation(S, T, {"x": parse_poly(image, ("u",), K)})
+
+
+def test_presentation_frobenius_on_line():
+    pres = line_presentation()
+    good = make_point(pres.target, {"x": LaurentSeries.t_power(F3, 3, N)}, N)
     lifted = lift_point(good, pres)
     assert str(lifted.coords["u"]).startswith("t ")
-    bad = make_point(T, {"x": LaurentSeries.t_power(F3, 1, N)}, N)
+    bad = make_point(pres.target, {"x": LaurentSeries.t_power(F3, 1, N)}, N)
     with pytest.raises(NoLift):
         lift_point(bad, pres)
 
 
-def test_presentation_rejects_non_inseparable():
-    S = ChartAlgebra(K, ("u",), [])
-    T = ChartAlgebra(K, ("x",), [])
+def _recording_closures(monkeypatch):
+    """The arguments of every closure QuotientPresentation runs."""
+    calls = []
+
+    def recording(chart, gens, bound, targets=()):
+        calls.append((chart, gens, bound, targets))
+        return _generator_monomials(chart, gens, bound, targets)
+
+    monkeypatch.setattr(adelic, "_generator_monomials", recording)
+    return calls
+
+
+def test_presentation_rejects_non_inseparable(monkeypatch):
+    closures = _recording_closures(monkeypatch)
     with pytest.raises(UnsupportedPresentation):
         # u^2 generates only even powers; u^3 never appears
-        QuotientPresentation(S, T, {"x": parse_poly("u^2", ("u",), K)})
+        line_presentation("u^2")
+    # so the closure never stops early: it spans every product up to 3p
+    ((chart, gens, bound, targets),) = closures
+    stopped, _, _ = _generator_monomials(chart, gens, bound, targets)
+    assert bound == 9
+    assert stopped == _generator_monomials(chart, gens, bound)[0]
+    assert [sum(e) for e, _ in stopped] == [0, 1, 2, 3, 4]
 
 
 def raynaud_presentation():
@@ -291,17 +313,110 @@ def test_lift_steps_depend_on_the_point():
         assert got == [fresh[points.index(pt)] for pt in order]
 
 
-def test_lift_cannot_isolate_in_a_sum_of_powers():
+def sum_of_powers_presentation():
     S = ChartAlgebra(K, ("u", "v"), [])
     T = ChartAlgebra(K, ("x", "y"), [])
-    pres = QuotientPresentation(S, T, {"x": parse_poly("u^3 + v^3", S.vars, K),
+    return QuotientPresentation(S, T, {"x": parse_poly("u^3 + v^3", S.vars, K),
                                        "y": parse_poly("u^3 - v^3", S.vars, K)})
+
+
+def test_lift_cannot_isolate_in_a_sum_of_powers():
+    pres = sum_of_powers_presentation()
     t3 = LaurentSeries.t_power(F3, 3, N)
-    pt = make_point(T, {"x": t3, "y": t3}, N)
+    pt = make_point(pres.target, {"x": t3, "y": t3}, N)
     for _ in range(2):  # the second call reads the memo
         with pytest.raises(UnsupportedPresentation,
                            match="cannot isolate a source variable in the equation for x"):
             lift_point(pt, pres)
+
+
+def _stopped_and_full_closures(monkeypatch, build):
+    """The closure a presentation runs, stopped at its x^p targets, and the
+    full closure on the same generators; every target reduces to zero on
+    the span of either, the stopped products come first in the full
+    closure's order, and the last of them is the first that puts every
+    target in the span."""
+    closures = _recording_closures(monkeypatch)
+    build()
+    ((chart, gens, bound, targets),) = closures
+    stopped, tracker, _ = _generator_monomials(chart, gens, bound, targets)
+    full, full_tracker, _ = _generator_monomials(chart, gens, bound)
+    assert stopped == full[: len(stopped)]
+    for target in targets:
+        assert not tracker.reduce(target)[0]
+        assert not full_tracker.reduce(target)[0]
+    before = solve_span([vec for _, vec in stopped[:-1]], targets, chart.domain)
+    assert None in before
+    return stopped, full
+
+
+def constant_term_presentation():
+    # w^3 = u + 1 on the source: the target for w has a constant term
+    S = ChartAlgebra(K, ("u", "w"), [(parse_poly("w^3 - u - 1", ("u", "w"), K), "w")])
+    T = ChartAlgebra(K, ("x", "y"), [])
+    return QuotientPresentation(S, T, {"x": S.var("u"), "y": S.var("w")})
+
+
+@pytest.mark.parametrize("build", [
+    line_presentation,
+    lambda: raynaud_presentation()[1],
+    lambda: point_dependent_presentation()[1](),
+    sum_of_powers_presentation,
+    constant_term_presentation,
+], ids=["u^3", "raynaud", "point-dependent", "u^3 + v^3, u^3 - v^3", "w^3 = u + 1"])
+def test_presentation_span_stops_once_every_p_th_power_is_in_it(monkeypatch, build):
+    stopped, full = _stopped_and_full_closures(monkeypatch, build)
+    assert len(stopped) < len(full)
+
+
+@pytest.mark.parametrize("y_image, products", [
+    # u^3 = 2*x^2 + x*y + x + y over F_3: it enters the span with x*y
+    ("u^2 - u", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]),
+    # u^3 = 2*(x^2 - y): it enters with x^2, before x*y
+    ("u^4 + u^2", [(0, 0), (1, 0), (0, 1), (2, 0)]),
+])
+def test_presentation_span_stops_at_a_product_of_two_images(monkeypatch, y_image, products):
+    S = ChartAlgebra(K, ("u",), [])
+    T = ChartAlgebra(K, ("x", "y"), [])
+    images = {"x": parse_poly("u^2 + u", S.vars, K), "y": parse_poly(y_image, S.vars, K)}
+    stopped, full = _stopped_and_full_closures(
+        monkeypatch, lambda: QuotientPresentation(S, T, images))
+    assert [e for e, _ in stopped] == products
+    assert len(stopped) < len(full)
+
+
+def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
+    # z = z_s^5 and x = x_s^5 leave their roots precision ceil(64/5) = 13,
+    # and y = z_s^3 + 4*x_s holds no power that raises it again
+    from charfol.cli import preset_chart
+
+    chart, D, _ = preset_chart("raynaud-local", 5, 3)
+    descended = descend_and_factor(chart, D)
+    report = descended.factorization
+    pres = QuotientPresentation(report.quotient, descended.pair.model,
+                                report.power_certificates)
+    assert not pres.source.relations  # make_point checks nothing on the lift
+    rng = random.Random(1)
+    points = [random_local_point(pres.target, rng, N) for _ in range(40)]
+    checked = []
+    nonzero_before = LaurentSeries.nonzero_before
+
+    def recording(s, n):
+        checked.append(min(n, s.prec))
+        return nonzero_before(s, n)
+
+    monkeypatch.setattr(LaurentSeries, "nonzero_before", recording)
+    horizons = []
+    for pt in points:
+        checked.clear()
+        try:
+            lift_point(pt, pres)
+        except NoLift:
+            continue
+        assert len(checked) == len(pres.target.vars)
+        horizons.append(min(checked))
+    assert adelic.star_horizon(N) == 32
+    assert len(horizons) > 10 and set(horizons) == {13}
 
 
 def test_random_points_live_on_chart_and_bias_works():

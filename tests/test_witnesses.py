@@ -130,7 +130,7 @@ def _leaky_constants():
     """ring_of_constants that also returns the last variable, which D moves."""
     constants = foliation.ring_of_constants
     return foliation, "ring_of_constants", \
-        lambda D, bound: constants(D, bound) + [D.chart.var("y")]
+        lambda D, bound: constants(D, bound) + [foliation._vector(D.chart.var("y"))]
 
 
 def _negated_star():
