@@ -1,17 +1,15 @@
 """Sparse exact linear algebra over a field, and the arithmetic of term dicts.
 
 Vectors are dicts mapping hashable, mutually comparable labels to nonzero
-scalars: int codes (gf.FieldElement.n) when the field handed first to each
-function is a gf.Field, elements with their own operators when it is None.
-Codes combine mod p for e = 1 and on the log/Zech tables for e > 1, as in
-series; only _addmul's multiplier may be a negated code, -a for minus the
-element of code a. On term dicts, vectors labelled by exponent tuples,
-_addmul is the one sum, _mul the one product and _nf the one normal form:
-MultiPoly and ChartAlgebra run them on elements, the closure of the t-free
-Frobenius factorization on codes. SpanTracker keeps an inter-reduced
-spanning set and, for every stored row, the combination of inserted
-originals that produced it, so dependencies come out as ready-made
-certificates; a gf.Field domain gives it codes.
+scalars: int codes (gf.FieldElement.n), combined by the kernels of the
+gf.Field handed first to each function, one call per dict, or elements with
+their own operators, combined here, when that field is None. On term dicts,
+vectors labelled by exponent tuples, _addmul and _submul are the one
+multiply-add, _mul the one product and _nf the one normal form: MultiPoly and
+ChartAlgebra run them on elements, the t-free factorization's closure on
+codes. SpanTracker keeps an inter-reduced spanning set and, for every stored
+row, the combination of inserted originals that produced it, so dependencies
+come out as ready-made certificates; a gf.Field domain gives it codes.
 
 Invariant: the rows are fully inter-reduced, so no row holds the pivot of
 another. Subtracting a row from a vector therefore changes no other pivot's
@@ -30,82 +28,42 @@ from . import gf
 def _addmul(field, dst, src, c=None):
     """dst += c * src in place, c nonzero, or dst += src for c None;
     returns dst, so that _addmul(field, {}, src, c) is c * src."""
-    if field is None:
-        for k, val in src.items():
-            if c is not None:
-                val = val * c
-            s = dst.get(k)
-            s = val if s is None else s + val
-            if s:
-                dst[k] = s
-            elif k in dst:
-                del dst[k]
-    elif field.e == 1:
-        p = field.p
-        c = 1 if c is None else c
-        for k, val in src.items():
-            s = (dst.get(k, 0) + val * c) % p
-            if s:
-                dst[k] = s
-            else:
-                del dst[k]  # val * c is nonzero, so k was there
-    else:
-        log, exp, zech, q1 = field.log, field.exp, field.zech, field.q - 1
-        # -a is minus the element of code a; -1 has the log of code p - 1
-        lc = 0 if c is None else log[c] if c > 0 else (log[-c] + log[field.p - 1]) % q1
-        for k, val in src.items():
-            x = (lc + log[val]) % q1
-            s = dst.get(k)
-            # g^s + g^x = g^s (1 + g^(x-s)); a negative x-s indexes from the end
-            if s is None:
-                dst[k] = exp[x]
-            elif (z := zech[x - log[s]]) >= 0:
-                dst[k] = exp[log[s] + z]
-            else:
-                del dst[k]
+    if field is not None:
+        return field.addmul(dst, src, 1 if c is None else c)
+    for k, val in src.items():
+        if c is not None:
+            val = val * c
+        s = dst.get(k)
+        s = val if s is None else s + val
+        if s:
+            dst[k] = s
+        elif k in dst:
+            del dst[k]
     return dst
+
+
+def _submul(field, dst, src, c):
+    """dst -= c * src in place, c nonzero; returns dst."""
+    return _addmul(None, dst, src, -c) if field is None else field.submul(dst, src, c)
 
 
 def _mul(field, a, b):
     """The product of the term dicts a and b, summed in the order of the
     double loop over a, then b."""
+    if field is not None:
+        return field.termmul(a, b)
     out = {}
     right = b.items()
-    if field is None:
-        for e1, c1 in a.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-    elif field.e == 1:
-        p = field.p
-        for e1, c1 in a.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]  # c1 * c2 is nonzero, so e was there
-    else:
-        log, exp, zech, q1 = field.log, field.exp, field.zech, field.q - 1
-        for e1, c1 in a.items():
-            l1 = log[c1]
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                x = (l1 + log[c2]) % q1
-                s = out.get(e)
-                if s is None:
-                    out[e] = exp[x]
-                elif (z := zech[x - log[s]]) >= 0:
-                    out[e] = exp[log[s] + z]
-                else:
-                    del out[e]
+    for e1, c1 in a.items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
     return out
 
 
@@ -157,7 +115,7 @@ class SpanTracker:
             pivot, row, rcombo = rows[i]
             coeff = v.get(pivot)
             if coeff:
-                _addmul(field, v, row, -coeff)
+                _submul(field, v, row, coeff)
                 _addmul(field, c, rcombo, coeff)
         return v, c
 
@@ -174,7 +132,7 @@ class SpanTracker:
         pivot = min(v)
         inv = v[pivot].inverse() if field is None else field.inv(v[pivot])
         v = _addmul(field, {}, v, inv)
-        rcombo = _addmul(field, {}, c, -inv)
+        rcombo = _submul(field, {}, c, inv)
         _addmul(field, rcombo, {tag: 1}, inv)
         rows, cols = self.rows, self.cols
         col_sets = [(k, cols.setdefault(k, set())) for k in v]
@@ -182,8 +140,8 @@ class SpanTracker:
         for i in sorted(cols[pivot]):
             _, row, combo = rows[i]
             coeff = row[pivot]
-            _addmul(field, row, v, -coeff)
-            _addmul(field, combo, rcombo, -coeff)
+            _submul(field, row, v, coeff)
+            _submul(field, combo, rcombo, coeff)
             for k, held in col_sets:
                 if k in row:
                     held.add(i)
@@ -205,7 +163,7 @@ def kernel_basis(vectors, domain=None):
         cert = tracker.insert(vec, i)
         if cert is not None:
             # the certificate only names earlier vectors
-            rel = _addmul(tracker.field, {}, cert, -1)
+            rel = _submul(tracker.field, {}, cert, 1)
             rel[i] = 1
             kernel.append(rel)
     return kernel

@@ -268,6 +268,8 @@ _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 def _chart_from_poly(text, q=3):
     if q < 2:
         raise ValueError(f"cannot read a characteristic from q = {q}")
+    if q > gf.MAX_Q:  # before a factor search that would not end for a q far above it
+        raise gf.DomainError(f"q = {q} exceeds supported bound {gf.MAX_Q}")
     # the smallest factor above 1 is prime; _build_field checks q is its power
     p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
     names = []

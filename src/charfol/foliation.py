@@ -20,7 +20,7 @@ from operator import add
 from . import gf
 from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
 from .differentials import _elimination, reduce_form
-from ._linalg import SpanTracker, _addmul, _mul, _nf, kernel_basis, solve_span
+from ._linalg import SpanTracker, _addmul, _mul, _nf, _submul, kernel_basis, solve_span
 
 
 class DegreeBoundTooSmall(RuntimeError):
@@ -415,7 +415,7 @@ def _reduced(field, residuals, row):
     pivot, vec, _ = row
     for r in residuals:
         if pivot in r:
-            _addmul(field, r, vec, -r[pivot])
+            _submul(field, r, vec, r[pivot])
     residuals[:] = [r for r in residuals if r]
     return residuals
 
@@ -526,7 +526,7 @@ def frobenius_factorization_check(D):
 
     relations = []
     for exps, cert in dependencies:
-        rel = _addmul(tracker.field, {}, cert, -1)
+        rel = _submul(tracker.field, {}, cert, 1)
         rel[exps] = 1
         relations.append(_poly(chart.domain, names, rel))
 

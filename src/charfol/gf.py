@@ -2,18 +2,26 @@
 
 An element is one int n = c_0 + c_1 p + ... + c_(e-1) p^(e-1) in [0, q), the
 base-p code of its coefficients over F_p (FieldElement.n); the coefficients
-are read back only to print. FieldElement's operators compute on the codes
-themselves; series keep bare codes and work on them inline. Over F_p the
-operations are int operations mod p. For e > 1 a Field builds, when it is
-made, tables over a primitive element g (K. Huber, IEEE Trans. Inf. Theory
-36(4), 1990): exp[k] = g^k for k in [0, 2(q-1)), log[n] with log[0] = -1,
-and zech[k] = log(1 + g^k). A product or a power is then arithmetic on
-logs, a sum one Zech lookup, and Field.inv one log subtraction. The
-characteristic is exposed everywhere as .p; frobenius and pth_root are total
-maps (the field is perfect). Supported bound: q <= 2^16.
+are read back only to print. Over F_p the operations are int operations mod
+p. For e > 1 a Field builds, when it is made, tables over a primitive element
+g (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990): exp[k] = g^k for k in
+[0, 2(q-1)), log[n] with log[0] = -1, and zech[k] = log(1 + g^k). A product
+or a power is then arithmetic on logs, a sum one Zech lookup, and Field.inv
+one log subtraction. This module owns code arithmetic: FieldElement's
+operators work on one code, and Field's kernels on a list or term dict of
+codes per call (series and _linalg read no table). The characteristic is
+exposed everywhere as .p; frobenius and pth_root are total maps (the field
+is perfect). Supported bound: q <= 2^16.
 """
 
+import struct
+from operator import add
+
 MAX_Q = 1 << 16
+
+# the residues mod m of 0..255, for every m with (m-1)^2 < 256: one
+# bytes.translate reduces a product's one-byte slots
+_BYTE_MOD = [None, None] + [(bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)]
 
 
 class DomainError(ValueError):
@@ -102,13 +110,14 @@ def _irreducible(m, p):
 
 def check_field(p, e=1):
     """Raise unless F_(p^e) is supported: NotPrime, or a DomainError for
-    e < 1 or q above MAX_Q."""
+    e < 1 or q above MAX_Q. The bound is tested first: trial division
+    would not end for a p far above it."""
+    if isinstance(p, int) and p > 1 and e >= 1 and p**e > MAX_Q:
+        raise DomainError(f"q = {p**e} exceeds supported bound {MAX_Q}")
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"p = {p!r} is not prime")
     if e < 1:
         raise DomainError("extension degree must be >= 1")
-    if p**e > MAX_Q:
-        raise DomainError(f"q = {p**e} exceeds supported bound {MAX_Q}")
 
 
 class Field:
@@ -218,6 +227,154 @@ class Field:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.exp[self.q - 1 - self.log[a]]
+
+    # -- kernels on lists of codes (series coefficients): one call per list --
+
+    def add_codes(self, a, b):
+        """The codes a[i] + b[i], as many as the shorter list has."""
+        if self.e == 1:
+            p = self.p
+            return [(x + y) % p for x, y in zip(a, b)]
+        log, exp, zech = self.log, self.exp, self.zech
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
+        return [y if not x else x if not y
+                else exp[lx + z] if (z := zech[log[y] - (lx := log[x])]) >= 0 else 0
+                for x, y in zip(a, b)]
+
+    def sub_codes(self, a, b):
+        """The codes a[i] - b[i], as many as the shorter list has."""
+        if self.e == 1:
+            p = self.p
+            return [(x - y) % p for x, y in zip(a, b)]
+        return self.add_codes(a, self.scale_codes(self.p - 1, b[: len(a)]))
+
+    def scale_codes(self, c, a):
+        """The codes c*x for x in a, c nonzero; c = p - 1 (-1) negates."""
+        if self.e == 1:
+            p = self.p
+            return [c * x % p for x in a]
+        log, exp, lc = self.log, self.exp, self.log[c]
+        return [exp[lc + log[x]] if x else 0 for x in a]
+
+    def deriv_codes(self, k, a):
+        """The codes (k+i)*a[i], k+i mod p: d/dt of sum a[i] t^(k+i)."""
+        p = self.p
+        if self.e == 1:
+            return [x * (k + i) % p for i, x in enumerate(a)]
+        # the code of (k+i) mod p in F_p is the residue itself; log[0] = -1
+        log, exp = self.log, self.exp
+        return [exp[log[x] + lk] if x and (lk := log[(k + i) % p]) >= 0 else 0
+                for i, x in enumerate(a)]
+
+    def pow_codes(self, a, n):
+        """The codes x^n for x in a, n a power of p (p: Frobenius, q/p: p-th
+        root); on F_p x^n = x, and a itself is returned."""
+        if self.e == 1:
+            return a
+        log, exp, q1 = self.log, self.exp, self.q - 1
+        return [exp[log[x] * n % q1] if x else 0 for x in a]
+
+    def conv(self, a, b, out_len):
+        """The first out_len <= len(a) + len(b) - 1 codes of the convolution
+        of nonempty code lists. Over F_p one big-int multiply (Kronecker
+        substitution) in slots of 1, 2, 4 or 8 bytes, as wide as a coefficient's
+        integer value: bytes and one translate for one byte, struct for more.
+        For e > 1 on logs, -1 for zero; a log below 2(q-1) indexes exp."""
+        if self.e == 1:
+            p = self.p
+            maxval = (p - 1) * (p - 1) * min(len(a), len(b))
+            if maxval < 256:
+                raw = (int.from_bytes(bytes(a), "little")
+                       * int.from_bytes(bytes(b), "little")).to_bytes(len(a) + len(b), "little")
+                return list(raw[:out_len].translate(_BYTE_MOD[p]))
+            size = 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
+            fmt = "<%d" + "HIQ"[size.bit_length() - 2]
+            ia = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
+            ib = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
+            raw = (ia * ib).to_bytes(size * (len(a) + len(b)), "little")
+            return [x % p for x in struct.unpack_from(fmt % out_len, raw)]
+        log, exp, zech, q1 = self.log, self.exp, self.zech, self.q - 1
+        la = [log[c] for c in a]
+        lb = [log[c] for c in b]
+        out = [-1] * out_len
+        for i, x in enumerate(la[:out_len]):
+            if x < 0:
+                continue
+            for k, y in enumerate(lb[: out_len - i], i):
+                if y < 0:
+                    continue
+                s = out[k]
+                if s < 0:
+                    out[k] = x + y
+                else:
+                    # g^s + g^t = g^s (1 + g^(t-s))
+                    z = zech[(x + y - s) % q1]
+                    out[k] = (s + z) % q1 if z >= 0 else -1
+        return [exp[s] if s >= 0 else 0 for s in out]
+
+    # -- kernels on term dicts of codes (exponent tuple -> nonzero code) --
+
+    def addmul(self, dst, src, c):
+        """dst += c * src in place, c nonzero; returns dst, so that
+        addmul({}, src, c) is c * src."""
+        if self.e == 1:
+            p = self.p
+            for k, val in src.items():
+                s = (dst.get(k, 0) + val * c) % p
+                if s:
+                    dst[k] = s
+                else:
+                    del dst[k]  # val * c is nonzero, so k was there
+            return dst
+        log, exp, zech, q1 = self.log, self.exp, self.zech, self.q - 1
+        lc = log[c]
+        for k, val in src.items():
+            x = (lc + log[val]) % q1
+            s = dst.get(k)
+            # g^s + g^x = g^s (1 + g^(x-s)); a negative x-s indexes from the end
+            if s is None:
+                dst[k] = exp[x]
+            elif (z := zech[x - log[s]]) >= 0:
+                dst[k] = exp[log[s] + z]
+            else:
+                del dst[k]
+        return dst
+
+    def submul(self, dst, src, c):
+        """dst -= c * src in place, c nonzero: addmul by -c; -1 has code p-1."""
+        if self.e == 1:
+            return self.addmul(dst, src, self.p - c)
+        return self.addmul(dst, src, self.exp[self.log[c] + self.log[self.p - 1]])
+
+    def termmul(self, a, b):
+        """The product of term dicts, summed term by term of a, then of b."""
+        out = {}
+        right = b.items()
+        if self.e == 1:
+            p = self.p
+            for e1, c1 in a.items():
+                for e2, c2 in right:
+                    e = tuple(map(add, e1, e2))
+                    s = (out.get(e, 0) + c1 * c2) % p
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]  # c1 * c2 is nonzero, so e was there
+            return out
+        log, exp, zech, q1 = self.log, self.exp, self.zech, self.q - 1
+        for e1, c1 in a.items():
+            l1 = log[c1]
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                x = (l1 + log[c2]) % q1
+                s = out.get(e)
+                if s is None:
+                    out[e] = exp[x]
+                elif (z := zech[x - log[s]]) >= 0:
+                    out[e] = exp[log[s] + z]
+                else:
+                    del out[e]
+        return out
 
     # -- elements --
 

@@ -2,35 +2,26 @@
 
 A series knows its coefficients on [v0, prec) and nothing above; every
 operation propagates the pessimistic precision. Coefficients are stored as
-gf codes (ints), combined inline, with no function call per code;
-FieldElements appear only at the constructor, coeffs and coeff. A product
+gf codes (ints) and combined by the gf.Field's list kernels, one call per
+list; FieldElements appear only at the constructor, coeffs and coeff. A sum
+or difference is one aligned pass, a negation a scaling by -1, and a
+Frobenius power or a p-th root one pass of the field's power map. A product
 computes only the coefficients below both its precision and its full degree,
 so short series multiply in time set by their lengths, not by the precision;
-a one-term factor c*t^v is one scalar pass, and a factor 1*t^0 that leaves
-the precision as it is returns the other factor itself. A result that is
-normal by construction skips the rescan for leading and trailing zeros. Over
-prime fields the codes are the values mod p: +, - and d/dt reduce inline,
-Frobenius powers and p-th roots copy codes (c^p = c), and a product packs
-the codes into 1-, 2-, 4- or 8-byte slots of one big integer (Kronecker
-substitution; a code fills at most 2 bytes as q <= 2^16) so a single native
-multiply does the convolution: one-byte slots with bytes and a translate
-table, wider ones with struct. Over F_q with e > 1 every
-kernel reads the gf.Field log, exp and Zech tables: a sum is one Zech
-lookup per code, a negation a log shift by (q-1)/2 (none for p = 2), and a
-scaling, a Frobenius power or a p-th root one list pass. A monomial c*t^v
-inverts exactly; longer series invert by Newton iteration, and newton solves
-polynomial equations the same way. A sum or difference is one aligned
-pass. A series never changes, so it keeps the powers asked of it, its
-reciprocal (power -1) among them, and a divisor used again is inverted once.
-evaluate is the one substitution of series into a polynomial over F_q or
-F_q(t); a polynomial never changes either, so it keeps its coefficient
-series per precision with the converter that finds them, made once, and
-each coefficient is converted once (a constant over F_q straight to its
-code, one over F_q(t) through from_ratfunc). A constant polynomial, or
-zero, is served its kept series without a substitution.
+a one-term factor c*t^v is one scaling, and a factor 1*t^0 that leaves the
+precision as it is returns the other factor itself. A result that is normal
+by construction skips the rescan for leading and trailing zeros. A monomial
+c*t^v inverts exactly; longer series invert by Newton iteration, and newton
+solves polynomial equations the same way. A series never changes, so it
+keeps the powers asked of it, its reciprocal (power -1) among them, and a
+divisor used again is inverted once. evaluate is the one substitution of
+series into a polynomial over F_q or F_q(t); a polynomial never changes
+either, so it keeps its coefficient series per precision with the converter
+that finds them, made once, and each coefficient is converted once (a
+constant over F_q straight to its code, one over F_q(t) through
+from_ratfunc). A constant polynomial, or zero, is served its kept series
+without a substitution.
 """
-
-import struct
 
 from . import gf
 from .algebra import FunField, _is_one
@@ -46,74 +37,6 @@ class PrecisionExhausted(ArithmeticError):
 
 class NotSimpleRoot(ValueError):
     pass
-
-
-# the residues mod m of 0..255, for every m with (m-1)^2 < 256: one
-# bytes.translate reduces a product's one-byte slots
-_BYTE_MOD = [None, None] + [(bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)]
-
-
-def _conv_prime(p, a, b, out_len):
-    """The first out_len coefficients of the convolution of nonempty code
-    lists mod p, via one big-int multiply; out_len <= len(a) + len(b) - 1.
-    Each coefficient of the product gets a slot of 1, 2, 4 or 8 bytes, wide
-    enough for its integer value. One-byte slots pack with bytes and reduce
-    with one translate; wider ones pack and unpack with struct."""
-    maxval = (p - 1) * (p - 1) * min(len(a), len(b))
-    if maxval < 256:
-        raw = (int.from_bytes(bytes(a), "little")
-               * int.from_bytes(bytes(b), "little")).to_bytes(len(a) + len(b), "little")
-        return list(raw[:out_len].translate(_BYTE_MOD[p]))
-    size = 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
-    fmt = "<%d" + "HIQ"[size.bit_length() - 2]
-    ia = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
-    ib = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
-    raw = (ia * ib).to_bytes(size * (len(a) + len(b)), "little")
-    return [x % p for x in struct.unpack_from(fmt % out_len, raw)]
-
-
-def _conv_generic(field, a, b, out_len):
-    """The same over F_q with e > 1, on discrete logs: a product is a sum of
-    logs and a sum one Zech lookup (gf.Field tables), with -1 for zero. A
-    log below 2(q-1) indexes exp unreduced."""
-    q1 = field.q - 1
-    log, zech = field.log, field.zech
-    la = [log[c] for c in a]
-    lb = [log[c] for c in b]
-    out = [-1] * out_len
-    for i, x in enumerate(la[:out_len]):
-        if x < 0:
-            continue
-        for k, y in enumerate(lb[: out_len - i], i):
-            if y < 0:
-                continue
-            s = out[k]
-            if s < 0:
-                out[k] = x + y
-            else:
-                # g^s + g^t = g^s (1 + g^(t-s))
-                z = zech[(x + y - s) % q1]
-                out[k] = (s + z) % q1 if z >= 0 else -1
-    exp = field.exp
-    return [exp[s] if s >= 0 else 0 for s in out]
-
-
-def _scale(field, c, a):
-    """The codes c*x for x in a, c nonzero: one pass."""
-    if field.e == 1:
-        p = field.p
-        return [c * x % p for x in a]
-    log, exp = field.log, field.exp
-    lc = log[c]
-    return [exp[lc + log[x]] if x else 0 for x in a]
-
-
-def _negate(field, a):
-    """The codes -x for x in a, over F_q with e > 1 and p odd: -1 is
-    g^((q-1)/2), so a negation is one log shift."""
-    log, exp = field.log, field.exp
-    h = (field.q - 1) // 2
-    return [exp[log[x] + h] if x else 0 for x in a]
 
 
 def _normal(v0, codes, prec):
@@ -266,21 +189,7 @@ class LaurentSeries:
         out = [0] * (top - v0)
         out[va - v0 : ea - v0] = a[: ea - va]
         j, m = vb - v0, eb - vb
-        if f.e == 1:
-            p = f.p
-            if sign == 1:
-                out[j : j + m] = [(x + y) % p for x, y in zip(out[j : j + m], b)]
-            else:
-                out[j : j + m] = [(x - y) % p for x, y in zip(out[j : j + m], b)]
-        else:
-            log, exp, zech = f.log, f.exp, f.zech
-            if sign == -1 and f.p != 2:
-                b = _negate(f, b[:m])
-            # g^i + g^j = g^i (1 + g^(j-i)); a negative j-i indexes from the end
-            out[j : j + m] = [
-                y if not x else x if not y
-                else exp[lx + z] if (z := zech[log[y] - (lx := log[x])]) >= 0 else 0
-                for x, y in zip(out[j : j + m], b)]
+        out[j : j + m] = (f.add_codes if sign == 1 else f.sub_codes)(out[j : j + m], b)
         return from_codes(f, v0, out, prec)
 
     def __add__(self, other):
@@ -290,14 +199,7 @@ class LaurentSeries:
 
     def __neg__(self):
         f = self.field
-        if f.p == 2:
-            return self  # -1 = 1
-        if f.e == 1:
-            p = f.p
-            out = [-c % p for c in self._c]
-        else:
-            out = _negate(f, self._c)
-        return _series(f, self.v0, out, self.prec)
+        return _series(f, self.v0, f.scale_codes(f.p - 1, self._c), self.prec)
 
     def __sub__(self, other):
         return self._add(other, -1)
@@ -326,14 +228,11 @@ class LaurentSeries:
             return other
         if len(b) == 1 and b[0] == 1 and not vb and prec == self.prec:
             return self
-        if len(a) == 1:
-            codes = b[:out_len] if a[0] == 1 else _scale(f, a[0], b[:out_len])
-        elif len(b) == 1:
-            codes = a[:out_len] if b[0] == 1 else _scale(f, b[0], a[:out_len])
-        elif f.e == 1:
-            codes = _conv_prime(f.p, a, b, out_len)
+        if len(a) == 1 or len(b) == 1:
+            (c,), rest = (a, b) if len(a) == 1 else (b, a)
+            codes = rest[:out_len] if c == 1 else f.scale_codes(c, rest[:out_len])
         else:
-            codes = _conv_generic(f, a, b, out_len)
+            codes = f.conv(a, b, out_len)
         # the leading code is a product of nonzero codes; only the cut at
         # out_len can leave trailing zeros, and _normal copies them away
         if codes[-1]:
@@ -400,16 +299,13 @@ class LaurentSeries:
         if n % p == 0:
             # s^p is a Frobenius, c_i t^i -> c_i^p t^(p*i), one pass over the
             # terms that land below its precision, the N + (p-1)v that
-            # repeated multiplication gives; c^p = c on F_p
+            # repeated multiplication gives
             a = self._c[: -(-(self.prec - self.v0) // p)]
             # the cut can leave trailing zeros; c^p is nonzero for c nonzero
             while a and not a[-1]:
                 a.pop()
-            if f.e > 1:
-                log, exp, q1 = f.log, f.exp, f.q - 1
-                a = [exp[log[c] * p % q1] if c else 0 for c in a]
             out = [0] * (p * (len(a) - 1) + 1)  # [] for the zero series
-            out[::p] = a
+            out[::p] = f.pow_codes(a, p)
             prec = self.prec + (p - 1) * self.v0
             return _series(f, p * self.v0, out, prec) ** (n // p)
         result = None
@@ -424,34 +320,20 @@ class LaurentSeries:
 
     def derivative(self):
         f = self.field
-        p, v0 = f.p, self.v0
-        if f.e == 1:
-            out = [c * (v0 + i) % p for i, c in enumerate(self._c)]
-        else:
-            # k = (v0 + i) mod p is the code of k in F_p, and log[0] = -1
-            log, exp = f.log, f.exp
-            out = [exp[log[c] + lk] if c and (lk := log[(v0 + i) % p]) >= 0 else 0
-                   for i, c in enumerate(self._c)]
-        return from_codes(f, v0 - 1, out, self.prec - 1)
+        return from_codes(f, self.v0 - 1, f.deriv_codes(self.v0, self._c), self.prec - 1)
 
     def pth_root(self):
         """The series s with s^p = self, or None when exponents obstruct it."""
-        f = self.field
+        f, a, v0 = self.field, self._c, self.v0
         p = f.p
         prec = -(-self.prec // p)
-        a, v0 = self._c, self.v0
         if not a:
             return _series(f, prec, [], prec)
         if v0 % p or any(any(a[r::p]) for r in range(1, p)):
             return None
         # a's last code is nonzero, so its exponent is a multiple of p and
-        # a[::p] is normal
-        if f.e == 1:
-            return _series(f, v0 // p, a[::p], prec)  # c^(1/p) = c on F_p
-        log, exp = f.log, f.exp
-        root, q1 = p ** (f.e - 1), f.q - 1  # c^(1/p) = c^(p^(e-1))
-        return _series(f, v0 // p, [exp[log[c] * root % q1] if c else 0 for c in a[::p]],
-                       prec)
+        # a[::p] is normal; c^(1/p) = c^(q/p)
+        return _series(f, v0 // p, f.pow_codes(a[::p], f.q // p), prec)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

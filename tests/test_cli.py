@@ -690,6 +690,26 @@ def test_q_above_the_supported_bound_exits_2(capsys):
     assert "error: q = 177147 exceeds supported bound 65536" in capsys.readouterr().err
 
 
+# a prime near 10^18: testing its primality or searching for its smallest
+# factor by trial division would run for minutes; the bound ends both at once
+HUGE_P = "1000000000000000003"
+
+
+@pytest.mark.parametrize("command", ["tango-verify", "pipeline"])
+def test_p_far_above_the_supported_bound_exits_2_at_once(command, capsys):
+    code, out = run([command, "--p", HUGE_P, "--d", "2", "--json"])
+    assert (code, out) == (2, "")
+    assert f"error: q = {HUGE_P} exceeds supported bound 65536" in capsys.readouterr().err
+
+
+def test_descend_q_far_above_the_supported_bound_fails_its_chart_at_once():
+    code, out = run(["descend", "--poly", "y^2 - x", "--q", HUGE_P, "--json"])
+    assert code == 1
+    (chart,) = json.loads(out)["checks"]
+    assert chart == {"name": "chart", "status": "fail",
+                     "values": {"error": f"q = {HUGE_P} exceeds supported bound 65536"}}
+
+
 # A fault of the library, not a bad argument, ends in the command's report
 # with one inconclusive error check that names the exception (exit 1).
 

@@ -77,6 +77,18 @@ def test_q_bound():
     gf.Field(2, 16)  # exactly 2^16 is allowed
 
 
+def test_q_bound_is_tested_before_primality(monkeypatch):
+    # trial division of a p near 10^18 would run for minutes
+    def no_trial_division(n):
+        raise AssertionError(f"primality of {n} tested before the bound")
+
+    monkeypatch.setattr(gf, "_is_prime", no_trial_division)
+    with pytest.raises(gf.DomainError, match="q = 1000000000000000003 exceeds supported bound"):
+        gf.check_field(1000000000000000003)
+    with pytest.raises(gf.DomainError, match="q = 70001 exceeds supported bound"):
+        gf.Field(70001)
+
+
 def test_reflected_operators_take_only_ints():
     F = gf.Field(5)
     c = F.from_int(2)

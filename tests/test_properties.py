@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from charfol import gf
-from charfol._linalg import SpanTracker, _addmul, _mul, _nf, kernel_basis, solve_span
+from charfol._linalg import SpanTracker, _addmul, _mul, _nf, _submul, kernel_basis, solve_span
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
 from charfol.descent import (
     NoDescent,
@@ -701,7 +701,8 @@ def test_normal_form_is_blind_to_the_relation_ideal(data):
     assert chart.nf(f + g * rel.poly) == chart.nf(f)
 
 
-CODE_FIELDS = [gf.Field(5), gf.Field(5, 2), gf.Field(3, 3)]
+# F_8: with p = 2, -1 = 1 and its code p - 1 is the code of one
+CODE_FIELDS = [gf.Field(5), gf.Field(5, 2), gf.Field(3, 3), gf.Field(2, 3)]
 # two triangular relations over each field, the second one's rewrite holding y
 CODE_CHARTS = [_chart(F, ("x", "y", "z"), [("y^2 - x", "y"), ("z^3 - y*z - x", "z")])
                for F in CODE_FIELDS]
@@ -735,6 +736,18 @@ def test_term_dict_kernels_on_codes_match_elements(data):
     assert _addmul(F, dict(b), neg_b) == {} == _addmul(None, _elems(F, b), _elems(F, neg_b))
     assert _addmul(F, _mul(F, a, b), _mul(F, a, neg_b)) == {}
     assert _mul(F, a, {}) == {} == _mul(None, {}, _elems(F, b))
+    # the subtracting multiply-add of the span tracker: a - c*b, term by
+    # term on elements, and b - 1*b cancels
+    expected = _elems(F, a)
+    for e, n in b.items():
+        s = expected.get(e, F.zero()) - gf.FieldElement(F, c) * gf.FieldElement(F, n)
+        if s:
+            expected[e] = s
+        else:
+            del expected[e]
+    assert _elems(F, _submul(F, dict(a), b, c)) == expected
+    assert _submul(None, _elems(F, a), _elems(F, b), gf.FieldElement(F, c)) == expected
+    assert _submul(F, dict(b), b, 1) == {} == _submul(None, _elems(F, b), _elems(F, b), F.one())
     # the normal form against the chart's element rules, and against nf
     code_rules = _rules(chart, F)
     for vec, elems in ((a, _elems(F, a)), products):
