@@ -71,7 +71,10 @@ class LocalPoint:
 
 def make_point(chart, coords, N=64):
     """Certify that the series coordinates satisfy every chart relation up
-    to N."""
+    to N, or to the lowest precision among them: relation j holds when
+    var^d and its rewrite agree at the point below the lower precision of
+    the two sides. Only a relation that fails builds its residual, whose
+    valuation NotOnVariety reports."""
     clean = {}
     prec = N
     for v in chart.vars:
@@ -80,10 +83,9 @@ def make_point(chart, coords, N=64):
         s = clean[v] = coords[v]
         prec = s.prec if s.prec < prec else prec
     for j, rel in enumerate(chart.relations):
-        residual = evaluate(rel.poly, clean, prec)
-        horizon = min(prec, residual.prec)
-        if residual.nonzero_before(horizon):
-            val = residual.val()
+        power = evaluate(rel.power, clean, prec)
+        if not power.agrees_below(evaluate(rel.rewrite, clean, prec), prec):
+            val = evaluate(rel.poly, clean, prec).val()
             raise NotOnVariety(
                 j, val,
                 f"relation {j} ({rel.poly}) has residual of valuation {val}",
@@ -309,9 +311,10 @@ def lift_point(point, pres):
     unless its cofactor vanishes at this point. An equation with no
     undetermined variable left is set aside. pres.lift_step says which case
     applies, and each round walks the waiting equations once. Source
-    variables never pinned down default to 0. Each equation is verified below
-    the star horizon or the precision of its difference, whichever is lower,
-    before the lift is returned; a p-th root divides the precision by p, so
+    variables never pinned down default to 0. Each image at the lift is
+    compared with its target coordinate below the star horizon or the lower
+    precision of the two sides, whichever is lower, before the lift is
+    returned; a p-th root divides the precision by p, so
     every raynaud-local lift at p = 5 and N = 64 has an equation verified
     only to t^13, not t^32.
     """
@@ -360,8 +363,7 @@ def lift_point(point, pres):
             assigned[s] = LaurentSeries.zero(field, N)
     horizon = star_horizon(N)
     for v in pres.target.vars:
-        diff = evaluate(pres.images[v], assigned, prec) - point.coords[v]
-        if diff.nonzero_before(min(horizon, diff.prec)):
+        if not evaluate(pres.images[v], assigned, prec).agrees_below(point.coords[v], horizon):
             raise NoLift(v)
     return make_point(source, assigned, prec)
 

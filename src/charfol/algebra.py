@@ -636,9 +636,10 @@ def parse_poly(text, vars, domain):
 
 
 class Relation:
-    """A chart relation, monic of some degree in its designated variable."""
+    """A chart relation, monic of some degree in its designated variable:
+    poly = power - rewrite, power the monomial var^degree."""
 
-    __slots__ = ("poly", "var", "index", "degree", "rewrite")
+    __slots__ = ("poly", "var", "index", "degree", "power", "rewrite")
 
     def __init__(self, poly, var):
         if var not in poly.vars:
@@ -650,8 +651,8 @@ class Relation:
         self.var = var
         self.index = poly.vars.index(var)
         self.degree = d
-        xd = MultiPoly.variable(poly.domain, poly.vars, var) ** d
-        self.rewrite = xd - poly  # x^d is congruent to this, lower degree in var
+        self.power = MultiPoly.variable(poly.domain, poly.vars, var) ** d
+        self.rewrite = self.power - poly  # x^d is congruent to this, lower degree in var
 
     def __repr__(self):
         return f"<relation {self.poly} monic in {self.var}>"
@@ -715,8 +716,9 @@ class SolvePlan:
 class ChartAlgebra:
     """domain[vars] / (relations), relations triangular and monic."""
 
-    # rules: (index, degree, rewrite terms) per relation, as _nf takes them
-    __slots__ = ("domain", "vars", "relations", "rules", "solve_plan")
+    # rules: (index, degree, rewrite terms) per relation, as _nf takes them;
+    # elimination: differentials._elimination of the chart, read, not changed
+    __slots__ = ("domain", "vars", "relations", "rules", "solve_plan", "elimination")
 
     def __init__(self, domain, vars, relations=()):
         self.domain = domain
@@ -735,10 +737,15 @@ class ChartAlgebra:
         self.rules = tuple((rel.index, rel.degree, rel.rewrite.terms) for rel in rels)
 
     def __getattr__(self, name):
-        # only an unset slot lands here: the solve plan is built on first use
+        # only an unset slot lands here: the solve plan and the elimination
+        # are built on first use
         if name == "solve_plan":
             self.solve_plan = SolvePlan(self)
             return self.solve_plan
+        if name == "elimination":
+            from .differentials import _elimination  # differentials imports this module
+            self.elimination = _elimination(self)
+            return self.elimination
         raise AttributeError(name)
 
     def var(self, name):

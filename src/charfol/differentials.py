@@ -119,7 +119,8 @@ def _elimination(chart):
     (dict index -> coefficient, dt coefficient or None) expressing its
     differential in the remaining ones; flags lists relation indices whose
     partials admit no unit, left unreduced. Registered substitutions never
-    reference an eliminated variable.
+    reference an eliminated variable. The chart keeps the result as
+    chart.elimination, built on first use.
     """
     subs = {}
     flags = []
@@ -173,7 +174,7 @@ def _elimination(chart):
 def reduce_form(form):
     """Canonical representative modulo the span of relation differentials."""
     chart = form.chart
-    subs, flags = _elimination(chart)
+    subs, flags = chart.elimination
     comps = list(form.comps)
     t = form.t_comp
     for elim, (coeffs, tco) in subs.items():
@@ -190,7 +191,7 @@ def reduce_form(form):
 
 def relative_vars(chart):
     """Chart variables whose differentials survive reduce_form."""
-    subs, _ = _elimination(chart)
+    subs, _ = chart.elimination
     return tuple(v for i, v in enumerate(chart.vars) if i not in subs)
 
 

@@ -19,7 +19,7 @@ from operator import add
 
 from . import gf
 from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
-from .differentials import _elimination, reduce_form
+from .differentials import reduce_form
 from ._linalg import SpanTracker, _addmul, _mul, _nf, _submul, kernel_basis, solve_span
 
 
@@ -196,7 +196,7 @@ def kernel_of_form(form):
         raise ValueError(
             f"relations {red.unreduced_at} have no unit partial; kernel is not defined here"
         )
-    subs, _ = _elimination(chart)
+    subs, _ = chart.elimination
     rel_idx = [i for i in range(len(chart.vars)) if i not in subs]
     if len(rel_idx) != 2:
         raise ValueError(

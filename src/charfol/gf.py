@@ -111,13 +111,41 @@ def _irreducible(m, p):
 def check_field(p, e=1):
     """Raise unless F_(p^e) is supported: NotPrime, or a DomainError for
     e < 1 or q above MAX_Q. The bound is tested first: trial division
-    would not end for a p far above it."""
-    if isinstance(p, int) and p > 1 and e >= 1 and p**e > MAX_Q:
-        raise DomainError(f"q = {p**e} exceeds supported bound {MAX_Q}")
+    would not end for a p far above it. The test builds no power of p past
+    MAX_Q * p, so an e far above the bound ends at once too."""
+    if isinstance(p, int) and p > 1 and e >= 1 and _above_bound(p, e):
+        raise DomainError(f"q = {_q_text(p, e)} exceeds supported bound {MAX_Q}")
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"p = {p!r} is not prime")
     if e < 1:
         raise DomainError("extension degree must be >= 1")
+
+
+def _above_bound(p, e):
+    """p^e > MAX_Q, multiplying one factor at a time."""
+    q, k = 1, 0
+    while k < e:
+        q *= p
+        k += 1
+        if q > MAX_Q:
+            return True
+    return False
+
+
+# 4300 digits, the most int() reads by default: every q a command line gives
+_DECIMAL_CAP = 10**4300 - 1
+
+
+def _q_text(p, e):
+    """q = p^e in decimal when it has at most 4300 digits, else as p^e (p
+    by its bit length when p itself has more)."""
+    if e * (p.bit_length() - 1) < _DECIMAL_CAP.bit_length():
+        q = p**e
+        if q <= _DECIMAL_CAP:
+            return str(q)
+    if p <= _DECIMAL_CAP:
+        return f"{p}^{e}"
+    return f"p^{e} for a p of {p.bit_length()} bits"
 
 
 class Field:

@@ -20,7 +20,9 @@ either, so it keeps its coefficient series per precision with the converter
 that finds them, made once, and each coefficient is converted once (a
 constant over F_q straight to its code, one over F_q(t) through
 from_ratfunc). A constant polynomial, or zero, is served its kept series
-without a substitution.
+without a substitution. Whether two series agree below a window is read off
+their codes by agrees_below, with no difference built: a certificate
+compares, it does not subtract.
 """
 
 from . import gf
@@ -154,6 +156,27 @@ class LaurentSeries:
     def nonzero_before(self, n):
         # the first coefficient is nonzero
         return bool(self._c) and self.v0 < min(n, self.prec)
+
+    def agrees_below(self, other, n):
+        """True when self and other have the same coefficients below n and
+        both precisions: (self - other).nonzero_before(n) is False, with no
+        difference built."""
+        if other.__class__ is not LaurentSeries or other.field is not self.field:
+            other = self._check(other)
+        m = n if n < self.prec else self.prec
+        if other.prec < m:
+            m = other.prec
+        a, b = self._c, other._c
+        # each window's last nonzero code; a normal series' first is nonzero
+        la = m - self.v0 if m - self.v0 < len(a) else len(a)
+        while la > 0 and not a[la - 1]:
+            la -= 1
+        lb = m - other.v0 if m - other.v0 < len(b) else len(b)
+        while lb > 0 and not b[lb - 1]:
+            lb -= 1
+        if la <= 0 or lb <= 0:
+            return la <= 0 and lb <= 0
+        return self.v0 == other.v0 and a[:la] == b[:lb]
 
     # -- arithmetic --
 

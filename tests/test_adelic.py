@@ -112,6 +112,33 @@ def test_make_point_rejects_off_curve():
     assert info.value.valuation == 0
 
 
+# y^2 = x and z^3 = x*y over F_5(t) at y = t, x = t^2 + t^a, z = t + t^b: z is
+# known to t^15, the working precision; relation 0 leaves -t^a, relation 1
+# 3t^(b+2) and -t^(a+1)
+@pytest.mark.parametrize("a, b, failure", [
+    (14, None, (0, 14)),  # relation 0's residual starts just below the precision
+    (15, 12, (1, 14)),    # relation 1's does
+    (15, 13, None),       # both start at the precision
+])
+def test_make_point_certifies_each_relation_to_the_working_precision(a, b, failure):
+    F5 = gf.Field(5)
+    K5 = FunField(F5)
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(K5, vars, [(parse_poly("y^2 - x", vars, K5), "y"),
+                                (parse_poly("z^3 - x*y", vars, K5), "z")])
+    t = lambda k, prec: LaurentSeries.t_power(F5, k, prec)
+    z = t(1, 15) if b is None else t(1, 15) + t(b, 15)
+    coords = {"x": t(2, 20) + t(a, 20), "y": t(1, 20), "z": z}
+    if failure is None:
+        assert make_point(C, coords, N).prec == 15
+        return
+    with pytest.raises(NotOnVariety) as info:
+        make_point(C, coords, N)
+    assert (info.value.relation_index, info.value.valuation) == failure
+    assert str(info.value) == (f"relation {failure[0]} ({C.relations[failure[0]].poly}) "
+                               f"has residual of valuation {failure[1]}")
+
+
 def test_solve_coordinate_searches_residue():
     C = tango_chart()
     xt = LaurentSeries.t_power(F3, 1, N)
@@ -399,13 +426,14 @@ def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
     rng = random.Random(1)
     points = [random_local_point(pres.target, rng, N) for _ in range(40)]
     checked = []
-    nonzero_before = LaurentSeries.nonzero_before
+    agrees_below = LaurentSeries.agrees_below
 
-    def recording(s, n):
-        checked.append(min(n, s.prec))
-        return nonzero_before(s, n)
+    def recording(s, other, n):
+        # the window the comparison reads
+        checked.append(min(n, s.prec, other.prec))
+        return agrees_below(s, other, n)
 
-    monkeypatch.setattr(LaurentSeries, "nonzero_before", recording)
+    monkeypatch.setattr(LaurentSeries, "agrees_below", recording)
     horizons = []
     for pt in points:
         checked.clear()

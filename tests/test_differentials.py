@@ -50,6 +50,21 @@ def test_reduce_form_raynaud():
     assert relative_vars(C) == ("y", "z")
 
 
+def test_a_chart_eliminates_its_relation_differentials_once(monkeypatch):
+    from charfol import differentials
+    from charfol.foliation import kernel_of_form
+
+    calls = []
+    monkeypatch.setattr(differentials, "_elimination",
+                        lambda chart: calls.append(chart) or _elimination(chart))
+    C = raynaud_chart()
+    kernel_of_form(OneForm.d(C, C.var("z")))  # reduces the form, then reads the chart's
+    assert str(reduce_form(OneForm.d(C, C.var("x")))) == "2*z*dz"
+    assert relative_vars(C) == ("y", "z")
+    assert calls == [C]
+    assert C.elimination == _elimination(C)
+
+
 def test_reduce_form_tango_affine():
     vars = ("x", "y")
     C = ChartAlgebra(K, vars, [(parse_poly("y^6 - y - x^5", vars, K), "y")])

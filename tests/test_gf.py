@@ -89,6 +89,24 @@ def test_q_bound_is_tested_before_primality(monkeypatch):
         gf.Field(70001)
 
 
+@pytest.mark.parametrize("e, q", [(10**5, "3^100000"), (10**9, "3^1000000000")])
+def test_q_far_above_the_bound_by_its_degree_fails_at_once(e, q):
+    # 3^e has about 0.2 e digits: printing it, or at e = 10^9 building it,
+    # would fail or run for minutes
+    with pytest.raises(gf.DomainError) as info:
+        gf.check_field(3, e)
+    assert str(info.value) == f"q = {q} exceeds supported bound 65536"
+
+
+def test_q_bound_message_prints_q_while_it_has_at_most_4300_digits():
+    big = 10**4300 - 1
+    for p, e, q in [(3, 20, "3486784401"), (2, 14000, str(2**14000)), (big, 1, str(big)),
+                    (3, 10**4, "3^10000"), (big + 2, 1, "p^1 for a p of 14285 bits")]:
+        with pytest.raises(gf.DomainError) as info:
+            gf.check_field(p, e)
+        assert str(info.value) == f"q = {q} exceeds supported bound 65536"
+
+
 def test_reflected_operators_take_only_ints():
     F = gf.Field(5)
     c = F.from_int(2)

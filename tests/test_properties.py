@@ -17,7 +17,8 @@ and normal form on F_q codes against the same kernels on elements over F_5,
 F_25 and F_27; the descent p-th roots in K = F_q(t) and in polynomial rings
 over F_q and K; MultiPoly one-term products and powers against the
 schoolbook double loop, over F_q with p in {2, 3, 5, 7}, e <= 4, and over
-F_q(t)."""
+F_q(t); the agreement of two series below a window against their
+difference."""
 
 import operator
 
@@ -323,6 +324,59 @@ def test_series_sub_matches_elements(data):
     assert rsub.prec == a.prec
     for k in range(min(a.v0, 0, a.prec), a.prec):
         assert rsub.coeff(k) == field.from_int(n if k == 0 else 0) - a.coeff(k)
+
+
+@st.composite
+def series_pairs(draw):
+    """(a, b, n) over F_q, q = p^e with p in {2, 3, 5, 7} and e <= 4: b drawn
+    on its own, a zero series, or a with one term added (perhaps zero) at
+    its own precision; n from below both valuations to past both
+    precisions."""
+    field = draw(grid_fields)
+    a = draw(series(field))
+    kind = draw(st.sampled_from(["own", "zero", "perturbed"]))
+    if kind == "own":
+        b = draw(series(field))
+    elif kind == "zero":
+        b = LaurentSeries.zero(field, a.prec + draw(st.integers(-4, 4)))
+    else:
+        k = draw(st.integers(-4, 14))
+        prec = a.prec + draw(st.integers(-4, 4))
+        b = a + LaurentSeries.t_power(field, k, prec, draw(_elements(field)))
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, draw(st.integers(-6, 16))
+
+
+F7 = gf.Field(7)
+
+
+@settings(deadline=None)
+@given(series_pairs())
+# a window that ends inside the run of zeros before b's t^3
+@example((LaurentSeries.constant(F7, 1, 8),
+          LaurentSeries.constant(F7, 1, 8) + LaurentSeries.t_power(F7, 3, 8, 5), 3))
+def test_series_agree_below_exactly_when_their_difference_vanishes(triple):
+    a, b, n = triple
+    diff = a - b
+    want = not diff.nonzero_before(min(n, diff.prec))
+    assert a.agrees_below(b, n) is want
+    assert b.agrees_below(a, n) is want
+
+
+def test_series_agree_below_windows():
+    one = LaurentSeries.constant(F7, 1, 8)
+    b = one + LaurentSeries.t_power(F7, 3, 8, 5)
+    assert one.agrees_below(b, 3) and not one.agrees_below(b, 4)
+    # a window below both valuations, and windows past one side's precision
+    t5, t6 = LaurentSeries.t_power(F7, 5, 9), LaurentSeries.t_power(F7, 6, 7, 2)
+    assert t5.agrees_below(t6, 5) and not t5.agrees_below(t6, 6)
+    longer = LaurentSeries.t_power(F7, 6, 20, 2) + LaurentSeries.t_power(F7, 7, 20)
+    assert t6.agrees_below(longer, 9) and longer.agrees_below(t6, 9)
+    assert not longer.agrees_below(LaurentSeries.t_power(F7, 6, 20, 2), 9)
+    zero = LaurentSeries.zero(F7, 4)
+    assert zero.agrees_below(t5, 64) and zero.agrees_below(LaurentSeries.zero(F7, 2), 64)
+    assert not zero.agrees_below(LaurentSeries.t_power(F7, 3, 9), 64)
 
 
 @settings(deadline=None)
