@@ -208,8 +208,8 @@ class QuotientPresentation:
     images[v] is phi^*(v) as a polynomial on the source chart. Construction
     verifies that the p-th power of every source variable lies in the subring
     the images generate: the search spans image products up to degree 3p and
-    stops once every x^p is in their span; lift_point re-verifies
-    every lift it returns. What lift_point does with the equation for v
+    stops once every x^p is in their span; lift_point compares the
+    equations it sets aside. What lift_point does with the equation for v
     depends only on which source variables are already assigned, so each
     step is worked out once per (v, assigned set) by lift_step and kept in
     _steps; the order of assignment can still differ from point to
@@ -308,15 +308,14 @@ def lift_point(point, pres):
     Triangular rounds: an equation becomes usable once it has exactly one
     term containing exactly one undetermined source variable, raised to a
     power p^j; that variable is then solved by division and j p-th roots,
-    unless its cofactor vanishes at this point. An equation with no
-    undetermined variable left is set aside. pres.lift_step says which case
-    applies, and each round walks the waiting equations once. Source
-    variables never pinned down default to 0. Each image at the lift is
-    compared with its target coordinate below the star horizon or the lower
-    precision of the two sides, whichever is lower, before the lift is
-    returned; a p-th root divides the precision by p, so
-    every raynaud-local lift at p = 5 and N = 64 has an equation verified
-    only to t^13, not t^32.
+    unless its cofactor vanishes at this point, and the equation holds by
+    construction. An equation with no undetermined variable left is set
+    aside. pres.lift_step says which case applies, and each round walks the
+    waiting equations once. Source variables never pinned down default to
+    0. Each set-aside image is compared with its target coordinate below the
+    star horizon or the lower precision of the two sides, whichever is
+    lower; a p-th root divides the precision by p, so at p = 5 and N = 64
+    every raynaud-local lift compares y only to t^13, not t^32.
     """
     if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
@@ -327,6 +326,7 @@ def lift_point(point, pres):
     steps = pres._steps
     assigned = {}
     known = frozenset()
+    set_aside = set()
     pending = pres.target.vars
     while pending:
         waiting = []
@@ -335,6 +335,7 @@ def lift_point(point, pres):
             if step is None:
                 step = steps[v, known] = pres.lift_step(v, known)
             if step is _SET_ASIDE:
+                set_aside.add(v)
                 continue
             if step is not _WAIT:
                 svar, j, cofactor, closed = step
@@ -363,7 +364,8 @@ def lift_point(point, pres):
             assigned[s] = LaurentSeries.zero(field, N)
     horizon = star_horizon(N)
     for v in pres.target.vars:
-        if not evaluate(pres.images[v], assigned, prec).agrees_below(point.coords[v], horizon):
+        if v in set_aside and not evaluate(
+                pres.images[v], assigned, prec).agrees_below(point.coords[v], horizon):
             raise NoLift(v)
     return make_point(source, assigned, prec)
 
@@ -413,18 +415,18 @@ def _random_free_series(field, rng, N, p_powered):
 
 def random_local_point(chart, rng, N=64):
     """A random point on the chart, each free coordinate a short random
-    series that is purely a p-th power with probability 1/2. One relation
-    variable is solved exactly when it appears linearly with a unit
-    coefficient; otherwise the designated variable is completed by Newton,
-    whose substitution check at precision N certifies the one relation, so
-    the point is not checked again by make_point. Draws again, up to
-    _POINT_TRIES times, when a draw hits a non-simple root or misses the
-    chart. The chart's solve plan says which variable is solved and how."""
+    series that is purely a p-th power with probability 1/2. The solve plan
+    completes it, solving a variable that appears linearly with a unit
+    coefficient, or else the designated one by Newton; either way the one
+    relation holds by construction, so make_point does not check it again,
+    and the precision is min(N, the coordinates'). A second relation is
+    refused before any draw; a non-simple Newton root draws again, up to
+    _POINT_TRIES times."""
+    if len(chart.relations) > 1:
+        raise UnsupportedPresentation("random points need at most one relation")
     field = _base_field(chart)
     plan = chart.solve_plan
     solve_var, newton_var = plan.solve_var, plan.newton_var
-    if newton_var is not None and len(chart.relations) > 1:
-        raise UnsupportedPresentation("random points need at most one relation")
     for _ in range(_POINT_TRIES):
         coords = {}
         for v in chart.vars:
@@ -438,11 +440,8 @@ def random_local_point(chart, rng, N=64):
                 coords = solve_coordinate(chart, coords, newton_var, N)
             except NotSimpleRoot:
                 continue
-            return LocalPoint(chart, {v: coords[v] for v in chart.vars}, N)
-        try:
-            return make_point(chart, coords, N)
-        except NotOnVariety:
-            continue
+        coords = {v: coords[v] for v in chart.vars}
+        return LocalPoint(chart, coords, min([N, *(s.prec for s in coords.values())]))
     raise RuntimeError(f"no random point found on {chart!r} after {_POINT_TRIES} draws")
 
 

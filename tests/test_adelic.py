@@ -313,18 +313,24 @@ def _lift_or_error(point, pres):
         return f"{type(e).__name__}: {e}"
 
 
-def test_lift_steps_depend_on_the_point():
-    T, build = point_dependent_presentation()
+def point_dependent_points(T):
+    # a, b = t, t + t^2; the first two lift, z set aside in the first and y
+    # in the second
     t = LaurentSeries.t_power(F3, 1, N)
     zero = LaurentSeries.zero(F3, N)
     a, b = t, t + t * t
-    points = [make_point(T, coords, N) for coords in (
+    return [make_point(T, coords, N) for coords in (
         {"x": a**3, "y": a * b**3, "z": b**3},
         {"x": zero, "y": zero, "z": b**3},
         {"x": t, "y": a * b**3, "z": b**3},
         {"x": zero, "y": t, "z": b**3},
         {"x": a**3, "y": a * t, "z": b**3},
     )]
+
+
+def test_lift_steps_depend_on_the_point():
+    T, build = point_dependent_presentation()
+    points = point_dependent_points(T)
     fresh = [_lift_or_error(pt, build()) for pt in points]
     # the terms of a and b, to the precision the roots leave
     assert [fresh[0][v].split("O(")[0] for v in "ab"] == ["t + ", "t + t^2 + "]
@@ -413,15 +419,10 @@ def test_presentation_span_stops_at_a_product_of_two_images(monkeypatch, y_image
 
 
 def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
-    # z = z_s^5 and x = x_s^5 leave their roots precision ceil(64/5) = 13,
-    # and y = z_s^3 + 4*x_s holds no power that raises it again
-    from charfol.cli import preset_chart
-
-    chart, D, _ = preset_chart("raynaud-local", 5, 3)
-    descended = descend_and_factor(chart, D)
-    report = descended.factorization
-    pres = QuotientPresentation(report.quotient, descended.pair.model,
-                                report.power_certificates)
+    # x = x_s^5 and z = z_s^5 solve their variables and leave their roots
+    # precision ceil(64/5) = 13; y = z_s^3 + 4*x_s, set aside once both are
+    # known, is the one image compared, and only to t^13
+    pres = preset_presentation("raynaud-local", 5)
     assert not pres.source.relations  # make_point checks nothing on the lift
     rng = random.Random(1)
     points = [random_local_point(pres.target, rng, N) for _ in range(40)]
@@ -429,8 +430,8 @@ def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
     agrees_below = LaurentSeries.agrees_below
 
     def recording(s, other, n):
-        # the window the comparison reads
-        checked.append(min(n, s.prec, other.prec))
+        # the target coordinate compared and the window the comparison reads
+        checked.append((other, min(n, s.prec, other.prec)))
         return agrees_below(s, other, n)
 
     monkeypatch.setattr(LaurentSeries, "agrees_below", recording)
@@ -441,10 +442,52 @@ def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
             lift_point(pt, pres)
         except NoLift:
             continue
-        assert len(checked) == len(pres.target.vars)
-        horizons.append(min(checked))
+        ((target, window),) = checked
+        assert target is pt.coords["y"]
+        horizons.append(window)
     assert adelic.star_horizon(N) == 32
     assert len(horizons) > 10 and set(horizons) == {13}
+
+
+def preset_presentation(name, q):
+    from charfol.cli import preset_chart
+
+    chart, D, _ = preset_chart(name, 5, 3, q)
+    descended = descend_and_factor(chart, D)
+    report = descended.factorization
+    return QuotientPresentation(report.quotient, descended.pair.model,
+                                report.power_certificates)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda name=name, q=q: preset_presentation(name, q)
+      for name in ("raynaud-local", "affine-plane") for q in (5, 25)),
+    lambda: point_dependent_presentation()[1](),
+], ids=["raynaud-local-F5", "raynaud-local-F25", "affine-plane-F5", "affine-plane-F25",
+        "point-dependent"])
+def test_every_image_holds_at_a_returned_lift(build):
+    # lift_point compares only the images it set aside: an image that solved
+    # a variable by division and p-th roots holds by construction, here
+    # checked by subtraction at every lift it returns
+    pres = build()
+    target = pres.target
+    points = point_dependent_points(target) if target.domain.p == 3 else []
+    for seed in range(10):
+        rng = random.Random(seed)
+        points += [random_local_point(target, rng, N) for _ in range(20)]
+    lifts = 0
+    for pt in points:
+        try:
+            lifted = lift_point(pt, pres)
+        except NoLift:
+            continue
+        lifts += 1
+        for v in target.vars:
+            image = evaluate(pres.images[v], lifted.coords, lifted.prec)
+            window = min(adelic.star_horizon(N), image.prec, pt.coords[v].prec)
+            assert window > 0
+            assert not (image - pt.coords[v]).nonzero_before(window), (v, window)
+    assert lifts >= 2
 
 
 def test_random_points_live_on_chart_and_bias_works():
@@ -457,6 +500,44 @@ def test_random_points_live_on_chart_and_bias_works():
         if pt.coords["z"].pth_root() is not None:
             cubes += 1
     assert 5 < cubes < 35  # both sides of the dichotomy get traffic
+    # the sampler does not certify its points: each relation vanishes below
+    # the point's precision, which is the one make_point gives, on the
+    # models equiv-check samples and on a solve plan with a pole in t
+    charts = [preset_presentation(name, q).target
+              for name in ("raynaud-local", "affine-plane") for q in (5, 25)]
+    K5 = FunField(gf.Field(5))
+    vars = ("x", "y")
+    pole = parse_poly("y^2 - x", vars, K5) - parse_poly("y", vars, K5) * K5.gen().inverse()
+    charts.append(ChartAlgebra(K5, vars, [(pole, "y")]))
+    precs = set()
+    for chart in charts:
+        for seed in range(20):
+            rng = random.Random(seed)
+            for _ in range(10):
+                pt = random_local_point(chart, rng, N)
+                for rel in chart.relations:
+                    residual = evaluate(rel.poly, pt.coords, pt.prec)
+                    # a coefficient 1/t costs the residual at most one term
+                    assert residual.prec >= pt.prec - (chart is charts[-1])
+                    assert not residual.nonzero_before(pt.prec)
+                assert make_point(chart, pt.coords, N).prec == pt.prec
+                precs.add(pt.prec)
+    assert precs == {N - 1, N}  # y/t loses a term of x
+
+
+def test_a_chart_with_two_relations_is_refused_before_any_draw():
+    # x solves y^2 = x, so a draw meets z^3 = y only by chance
+    F5 = gf.Field(5)
+    K5 = FunField(F5)
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(K5, vars, [(parse_poly("y^2 - x", vars, K5), "y"),
+                                (parse_poly("z^3 - y", vars, K5), "z")])
+    assert C.solve_plan.solve_var == "x"
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(UnsupportedPresentation, match="random points need at most one relation"):
+        random_local_point(C, rng, N)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("low, high", [
