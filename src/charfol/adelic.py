@@ -70,11 +70,13 @@ class LocalPoint:
 
 
 def make_point(chart, coords, N=64):
-    """Certify that the series coordinates satisfy every chart relation up
-    to N, or to the lowest precision among them: relation j holds when
-    var^d and its rewrite agree at the point below the lower precision of
-    the two sides. Only a relation that fails builds its residual, whose
-    valuation NotOnVariety reports."""
+    """Certify that the series coordinates satisfy every chart relation
+    below the precision of the point returned: relation j holds when var^d
+    and its rewrite, with coefficients to N, agree at the point below the
+    lower precision of the two sides. That precision is the least of these
+    windows, N and the coordinates' precisions; a coefficient 1/t can make a
+    window smaller than the coordinates'. Only a relation that fails builds
+    its residual, whose valuation NotOnVariety reports."""
     clean = {}
     prec = N
     for v in chart.vars:
@@ -82,15 +84,18 @@ def make_point(chart, coords, N=64):
             raise KeyError(f"no value for coordinate {v}")
         s = clean[v] = coords[v]
         prec = s.prec if s.prec < prec else prec
+    window = prec
     for j, rel in enumerate(chart.relations):
-        power = evaluate(rel.power, clean, prec)
-        if not power.agrees_below(evaluate(rel.rewrite, clean, prec), prec):
-            val = evaluate(rel.poly, clean, prec).val()
+        power = evaluate(rel.power, clean, N)
+        rewrite = evaluate(rel.rewrite, clean, N)
+        if not power.agrees_below(rewrite, prec):
+            val = evaluate(rel.poly, clean, N).val()
             raise NotOnVariety(
                 j, val,
                 f"relation {j} ({rel.poly}) has residual of valuation {val}",
             )
-    return LocalPoint(chart, clean, prec)
+        window = min(window, power.prec, rewrite.prec)
+    return LocalPoint(chart, clean, window)
 
 
 def solve_coordinate(chart, coords, name, N=64, initial=None):

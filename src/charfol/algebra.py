@@ -110,6 +110,10 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
+        if len(self.terms) == 1:
+            # a one-term power is one term: no product is built
+            ((e, c),) = self.terms.items()
+            return MultiPoly._of(self.domain, self.vars, {tuple(k * n for k in e): c**n})
         result = MultiPoly.constant(self.domain, self.vars, 1)
         base = self
         while n:

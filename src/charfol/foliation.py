@@ -470,7 +470,11 @@ def frobenius_factorization_check(D):
     (_generator_monomials); the span of the last round answers everything
     else: whether the constants are generated, the relations (one per
     dependent product) and the x^p certificates. Raises DegreeBoundTooSmall
-    when some x^p is not in that span.
+    when some x^p is not in that span. The search stops once the span has
+    as many rows as ring_of_constants returned vectors: those are a basis
+    of the reduced constants of degree <= bound, every closure product is
+    such a constant, so equal dimension is equal span and no later
+    constant can become a generator.
 
     When the chart and D are constant in t, all of this runs over F_q
     (restrict_to_field); results go back to K before the quotient is built.
@@ -493,6 +497,8 @@ def frobenius_factorization_check(D):
     last = 0  # the index of the last accepted generator
     _, tracker, dependencies = _generator_monomials(chart, gens, bound)
     for k, vec in enumerate(vectors):
+        if len(tracker.rows) == len(vectors):
+            break  # full rank: the span is every bounded constant
         if _degree(vec) == 0:
             continue
         residual, _ = tracker.reduce(vec)
@@ -501,10 +507,11 @@ def frobenius_factorization_check(D):
         gens.append(vec)
         last = k
         _, tracker, dependencies = _generator_monomials(chart, gens, bound)
-    # every later constant reduced to zero on this final tracker already, and
-    # a constant of degree 0 is a multiple of the product 1 it starts from
-    generated = all(not tracker.reduce(vec)[0]
-                    for vec in vectors[:last] if _degree(vec) > 0)
+    # below full rank, every later constant reduced to zero on this final
+    # tracker already, and a constant of degree 0 is a multiple of the
+    # product 1 it starts from
+    generated = len(tracker.rows) == len(vectors) or all(
+        not tracker.reduce(vec)[0] for vec in vectors[:last] if _degree(vec) > 0)
 
     # the scalar of one in the vectors
     one = 1 if tracker.field else chart.domain.one()

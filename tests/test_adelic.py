@@ -139,6 +139,28 @@ def test_make_point_certifies_each_relation_to_the_working_precision(a, b, failu
                                f"has residual of valuation {failure[1]}")
 
 
+def test_make_point_returns_the_window_it_compared():
+    # y^2 = x + y/t over F_5(t): y/t loses a term, so with both coordinates
+    # known to t^64 the relation is compared below t^63 only
+    F5 = gf.Field(5)
+    K5 = FunField(F5)
+    vars = ("x", "y")
+    pole = parse_poly("y^2 - x", vars, K5) - parse_poly("y", vars, K5) * K5.gen().inverse()
+    C = ChartAlgebra(K5, vars, [(pole, "y")])
+    t = lambda k: LaurentSeries.t_power(F5, k, N)
+    y = t(0) + t(1)
+    x = series.from_codes(F5, -1, [4, 0, 2, 1], N)  # y^2 - y/t, exactly
+    assert (x.prec, y.prec) == (N, N)
+    assert make_point(C, {"x": x, "y": y}, N).prec == N - 1
+    # a residual t^63 lies at the window: not certified, and not claimed
+    off = make_point(C, {"x": x + t(N - 1), "y": y}, N)
+    assert off.prec == N - 1
+    assert not evaluate(pole, off.coords, N).nonzero_before(off.prec)
+    with pytest.raises(NotOnVariety) as info:
+        make_point(C, {"x": x + t(N - 2), "y": y}, N)
+    assert info.value.valuation == N - 2
+
+
 def test_solve_coordinate_searches_residue():
     C = tango_chart()
     xt = LaurentSeries.t_power(F3, 1, N)

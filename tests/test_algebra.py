@@ -108,7 +108,10 @@ def test_chart_normal_form_fixpoint():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
 def test_power_builds_no_product_past_the_result(n, monkeypatch):
-    x = MultiPoly.variable(K, ("x",), "x")
+    base = parse_poly("x + 1", ("x",), K)
+    expected = MultiPoly.constant(K, ("x",), 1)
+    for _ in range(n):
+        expected = expected * base
     degrees = []
     mul = MultiPoly.__mul__
 
@@ -118,9 +121,36 @@ def test_power_builds_no_product_past_the_result(n, monkeypatch):
         return out
 
     monkeypatch.setattr(MultiPoly, "__mul__", recording)
-    assert x**n == MultiPoly(K, ("x",), {(n,): K.one()})
+    assert base**n == expected
     # square-and-multiply: the last square is the one the result needs
     assert max(degrees) == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("domain, text", [
+    (gf.Field(5), "3*x^2*y"),
+    (gf.Field(5, 2), "(u+2)*x^2*y"),
+    (FunField(gf.Field(5)), "(t+1)*x^2*y"),
+], ids=["F5", "F25", "F5(t)"])
+def test_one_term_power_builds_no_product(domain, text, n, monkeypatch):
+    vars = ("x", "y")
+    base = parse_poly(text, vars, domain)
+    expected = MultiPoly.constant(domain, vars, 1)
+    for _ in range(n):
+        expected = expected * base
+    products = []
+    mul = MultiPoly.__mul__
+
+    def recording(self, other):
+        if self.vars == vars:  # not the products inside a RatFunc power
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", recording)
+    power = base**n
+    assert power == expected and str(power) == str(expected)
+    assert len(power.terms) == 1
+    assert products == []
 
 
 @pytest.mark.parametrize("max_total", [0, 1, 2, 5, 12])

@@ -344,6 +344,46 @@ def test_factorization_builds_one_span_per_closure_round(monkeypatch):
     assert len(trackers) == 1 + rounds
 
 
+@pytest.mark.parametrize("q", [5, 25])
+def test_generator_search_stops_once_the_closure_spans_every_constant(q, monkeypatch):
+    from charfol import cli, foliation
+    from charfol.descent import descend_algebra, descend_derivation
+
+    chart, D, _ = cli.preset_chart("raynaud-local", 5, 3, q)
+    Dm = descend_derivation(D, descend_algebra(chart))
+    constants = []
+    ring = foliation.ring_of_constants
+
+    def recording(*args):
+        out = ring(*args)
+        constants.extend(out)
+        return out
+
+    reduced = []
+    reduce = SpanTracker.reduce
+
+    def counting(self, vec):
+        if any(vec is c for c in constants):
+            reduced.append(vec)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(foliation, "ring_of_constants", recording)
+    monkeypatch.setattr(SpanTracker, "reduce", counting)
+    rep = frobenius_factorization_check(Dm)
+    # 91 constants up to degree 15; z and x span them all by the second
+    # one reduced, so none after it is reduced (without the stop, all 91 are)
+    assert len(constants) == 91
+    assert len(reduced) <= len(rep.generators) + 1
+    assert rep.to_json() == {
+        "degree_bound": 15,
+        "generated_up_to_bound": True,
+        "generators": [{"expression": "z", "name": "z"}, {"expression": "x", "name": "x"}],
+        "power_certificates": {"x": "x^5", "y": "z^3 + 4*x", "z": "z^5"},
+        "quotient_chart": {"relations": [], "vars": ["z", "x"]},
+        "relations": [],
+    }
+
+
 def _closure_on_polys(chart, gens, bound):
     """The closure with MultiPoly arithmetic: each product is
     chart.nf(poly * g), converted to codes for the tracker."""
