@@ -777,11 +777,6 @@ class ChartAlgebra:
 
     nf = normal_form
 
-    def is_reduced(self, f):
-        return all(
-            e[rel.index] < rel.degree for rel in self.relations for e in f.terms
-        )
-
     def _caps(self, max_total):
         caps = [max_total] * len(self.vars)
         for rel in self.relations:

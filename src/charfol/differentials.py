@@ -1,18 +1,12 @@
-"""Kahler 1-forms on charts, reduction by relation differentials, the
-model-induced absolute/relative splitting, and the Cartier operator on F_q(x).
+"""Kahler 1-forms on charts, reduction by relation differentials, and the
+Cartier operator on F_q(x).
 
 A form on a chart with variables x_1..x_n over K carries one coefficient per
-dx_i plus a dt coefficient when the constant field is F_q(t). Equality of
-forms means equality after reduce_form.
+dx_i plus a dt coefficient when the constant field is F_q(t).
 """
 
 from . import gf
 from .algebra import MultiPoly, RatFunc, FunField
-from .descent import outside_Kp
-
-
-class NoModel(ValueError):
-    pass
 
 
 def _has_t(chart):
@@ -48,50 +42,6 @@ class OneForm:
         comps = [g.partial(v) for v in chart.vars]
         t_comp = _coeff_t_derivative(g) if _has_t(chart) else None
         return cls(chart, comps, t_comp)
-
-    def coeff(self, name):
-        return self.comps[self.chart.vars.index(name)]
-
-    def is_zero(self):
-        z = all(c.is_zero() for c in self.comps)
-        if self.t_comp is not None:
-            z = z and self.t_comp.is_zero()
-        return z
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm) or other.chart != self.chart:
-            raise TypeError("forms on different charts")
-        t = None
-        if self.t_comp is not None:
-            t = self.t_comp + other.t_comp
-        return OneForm(
-            self.chart,
-            [a + b for a, b in zip(self.comps, other.comps)],
-            t,
-        )
-
-    def __neg__(self):
-        t = None if self.t_comp is None else -self.t_comp
-        return OneForm(self.chart, [-c for c in self.comps], t)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, g):
-        """Multiply by a chart function."""
-        if not isinstance(g, MultiPoly):
-            g = self.chart.constant(g)
-        t = None if self.t_comp is None else self.t_comp * g
-        return OneForm(self.chart, [c * g for c in self.comps], t)
-
-    def __rmul__(self, g):
-        return self.scale(g)
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm) or other.chart != self.chart:
-            return NotImplemented
-        a, b = reduce_form(self), reduce_form(other)
-        return a.comps == b.comps and a.t_comp == b.t_comp
 
     def __str__(self):
         parts = []
@@ -187,30 +137,6 @@ def reduce_form(form):
             t = t + c * tco
         comps[elim] = chart.zero()
     return OneForm(chart, comps, t, unreduced_at=flags)
-
-
-def relative_vars(chart):
-    """Chart variables whose differentials survive reduce_form."""
-    subs, _ = chart.elimination
-    return tuple(v for i, v in enumerate(chart.vars) if i not in subs)
-
-
-def split_absolute(form):
-    """Model-induced splitting omega = relative + base * dt.
-
-    Requires every relation coefficient to lie in K^p (so the relation
-    differentials have no dt part and the splitting is well defined);
-    otherwise NoModel lists the offenders.
-    """
-    chart = form.chart
-    if not _has_t(chart):
-        raise ValueError("splitting needs the constant field F_q(t)")
-    offenders = outside_Kp(chart)
-    if offenders:
-        raise NoModel("chart is not a model: " + "; ".join(offenders))
-    red = reduce_form(form)
-    relative = OneForm(chart, red.comps, chart.zero(), unreduced_at=red.unreduced_at)
-    return relative, red.t_comp
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,6 @@ class Derivation:
         return f"<derivation {self} on {self.chart!r}>"
 
 
-def bracket(D, E):
-    """[D, E], again a derivation on the same chart."""
-    if D.chart != E.chart:
-        raise TypeError("derivations on different charts")
-    return Derivation(
-        D.chart,
-        [D.apply(e) - E.apply(d) for d, e in zip(D.coeffs, E.coeffs)],
-    )
-
-
 def p_power(D):
     """D^[p]: its images are D applied p-1 times to the images of D."""
     p = D.chart.domain.p

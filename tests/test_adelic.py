@@ -590,7 +590,7 @@ def test_verify_equivalence_inconclusive_paths():
     C = raynaud_chart()
     dz = OneForm.d(C, C.var("z"))
     D = kernel_of_form(dz)
-    scaled = C.poly("2*z") * dz
+    scaled = OneForm(C, [C.zero(), C.zero(), C.poly("2*z")])  # 2z dz
     rep = verify_equivalence(descend_and_factor(C, D), [scaled], trials=20, seed=3)
     assert rep["status"] == "inconclusive"
     rep = verify_equivalence(descend_and_factor(C, D), [], trials=20, seed=3)

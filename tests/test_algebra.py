@@ -102,7 +102,8 @@ def test_chart_normal_form_fixpoint():
     f = C.poly("y^7 + x*y^4")
     g = C.nf(f)
     assert C.nf(g) is g
-    assert C.is_reduced(g)
+    # no term reaches a relation's degree
+    assert all(e[rel.index] < rel.degree for rel in C.relations for e in g.terms)
     assert g.deg_in("y") < 3
 
 

@@ -6,15 +6,12 @@ from charfol import gf
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import (
     CartierDecomposition,
-    NoModel,
     OneForm,
     cartier,
     decompose_pth,
     is_locally_exact,
     _elimination,
     reduce_form,
-    relative_vars,
-    split_absolute,
 )
 
 F3 = gf.Field(3)
@@ -30,24 +27,16 @@ def test_d_gives_the_partials():
     C = ChartAlgebra(K, ("x", "y"), [])
     f = C.poly("x^2*y + t*x")
     w = OneForm.d(C, f)
-    assert w.coeff("x") == C.poly("2*x*y + t")
-    assert w.coeff("y") == C.poly("x^2")
-
-
-def test_form_arithmetic_and_scaling():
-    C = ChartAlgebra(K, ("x", "y"), [])
-    dx = OneForm.d(C, C.var("x"))
-    dy = OneForm.d(C, C.var("y"))
-    w = C.poly("y") * dx + dy
-    assert w.coeff("x") == C.poly("y")
-    assert (w - w).is_zero()
+    assert w.comps == (C.poly("2*x*y + t"), C.poly("x^2"))
+    assert w.t_comp == C.poly("x")
 
 
 def test_reduce_form_raynaud():
     C = raynaud_chart()
     rdx = reduce_form(OneForm.d(C, C.var("x")))
     assert str(rdx) == "2*z*dz"
-    assert relative_vars(C) == ("y", "z")
+    # dx is eliminated through the relation; dy and dz survive
+    assert list(C.elimination[0]) == [0]
 
 
 def test_a_chart_eliminates_its_relation_differentials_once(monkeypatch):
@@ -60,7 +49,7 @@ def test_a_chart_eliminates_its_relation_differentials_once(monkeypatch):
     C = raynaud_chart()
     kernel_of_form(OneForm.d(C, C.var("z")))  # reduces the form, then reads the chart's
     assert str(reduce_form(OneForm.d(C, C.var("x")))) == "2*z*dz"
-    assert relative_vars(C) == ("y", "z")
+    assert list(C.elimination[0]) == [0]
     assert calls == [C]
     assert C.elimination == _elimination(C)
 
@@ -70,7 +59,8 @@ def test_reduce_form_tango_affine():
     C = ChartAlgebra(K, vars, [(parse_poly("y^6 - y - x^5", vars, K), "y")])
     rdy = reduce_form(OneForm.d(C, C.var("y")))
     # -dy - 2x^4 dx = 0 after reduction, so dy = x^4 dx in char 3
-    assert rdy == C.poly("x^4") * OneForm.d(C, C.var("x"))
+    assert rdy.comps == (C.poly("x^4"), C.zero())
+    assert rdy.t_comp == C.zero()
 
 
 def test_elimination_tangle():
@@ -100,24 +90,6 @@ def test_elimination_substitutes_across_relations(relations, want):
     assert (sorted(subs), flags) == ([0, 1], ())
     # no registered substitution names an eliminated variable
     assert all(not set(rc) & set(subs) for rc, _ in subs.values())
-
-
-def test_split_absolute_model():
-    vars = ("x", "z")
-    C = ChartAlgebra(K, vars, [(parse_poly("z^2 - x - t^3", vars, K), "z")])
-    w = OneForm.d(C, C.poly("t*x"))
-    rel, base = split_absolute(w)
-    # x is eliminated through the relation, so t dx lands on 2tz dz
-    assert rel.coeff("x").is_zero()
-    assert rel.coeff("z") == C.poly("2*t*z")
-    assert base == C.var("x")
-
-
-def test_split_absolute_no_model():
-    vars = ("x", "z")
-    C = ChartAlgebra(K, vars, [(parse_poly("z^2 - x - t", vars, K), "z")])
-    with pytest.raises(NoModel):
-        split_absolute(OneForm.d(C, C.var("x")))
 
 
 # --- Cartier operator on F_q(x) ---
