@@ -7,19 +7,21 @@ their own operators, combined here, when that field is None. On term dicts,
 vectors labelled by exponent tuples, _addmul and _submul are the one
 multiply-add, _mul the one product and _nf the one normal form: MultiPoly and
 ChartAlgebra run them on elements, the t-free factorization's closure on
-codes. SpanTracker keeps an inter-reduced spanning set and, for every stored
-row, the combination of inserted originals that produced it, so dependencies
-come out as ready-made certificates; a gf.Field domain gives it codes.
+codes. SpanTracker keeps a spanning set in echelon form and, for every
+stored row, the combination of inserted originals that produced it, so
+dependencies come out as ready-made certificates; a gf.Field domain gives it
+codes.
 
-Invariant: the rows are fully inter-reduced, so no row holds the pivot of
-another. Subtracting a row from a vector therefore changes no other pivot's
-coefficient, and the tracker only touches the rows it must, through two
-indexes: `pos` (pivot -> row index) tells `reduce` which rows a vector
-meets, and `cols` (label -> indices of the rows holding it) tells `insert`
-which rows to clear of a new pivot. Both visit rows in insertion order, so
-the field operations run in the same order as a scan of every row would.
+Invariant: each row's pivot is its least label, with coefficient 1, and no
+row holds the pivot of an earlier one; rows are never rewritten. Subtracting
+a row therefore only touches labels above its pivot, so `reduce` clears the
+pivots a vector meets in increasing order, through a heap fed by the labels
+each subtraction brings in; `pos` maps a pivot to its row's index. The
+residual (free of every pivot) and the combination of stored originals are
+unique, so they do not depend on the order in which rows were reduced.
 """
 
+from heapq import heapify, heappop, heappush
 from operator import add
 
 from . import gf
@@ -92,12 +94,11 @@ def _nf(field, f, rules):
 
 
 class SpanTracker:
-    __slots__ = ("rows", "pos", "cols", "field")
+    __slots__ = ("rows", "pos", "field")
 
     def __init__(self, domain=None):
         self.rows = []  # (pivot, vector, combo); vector[pivot] = 1
         self.pos = {}  # pivot -> index into rows
-        self.cols = {}  # label -> set of indices of the rows holding it
         # the gf.Field whose codes the vectors hold, or None for elements
         self.field = domain if isinstance(domain, gf.Field) else None
 
@@ -111,12 +112,20 @@ class SpanTracker:
         c = {}
         pos = self.pos
         rows = self.rows
-        for i in sorted(pos[k] for k in vec if k in pos):
-            pivot, row, rcombo = rows[i]
+        heap = [k for k in v if k in pos]
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
             coeff = v.get(pivot)
-            if coeff:
-                _submul(field, v, row, coeff)
-                _addmul(field, c, rcombo, coeff)
+            if not coeff:
+                continue  # cancelled, or pushed twice
+            _, row, rcombo = rows[pos[pivot]]
+            # pivots among the labels the row brings in join the walk
+            for k in row:
+                if k in pos and k not in v:
+                    heappush(heap, k)
+            _submul(field, v, row, coeff)
+            _addmul(field, c, rcombo, coeff)
         return v, c
 
     def insert(self, vec, tag):
@@ -134,24 +143,8 @@ class SpanTracker:
         v = _addmul(field, {}, v, inv)
         rcombo = _submul(field, {}, c, inv)
         _addmul(field, rcombo, {tag: 1}, inv)
-        rows, cols = self.rows, self.cols
-        col_sets = [(k, cols.setdefault(k, set())) for k in v]
-        # keep stored rows clear of the new pivot
-        for i in sorted(cols[pivot]):
-            _, row, combo = rows[i]
-            coeff = row[pivot]
-            _submul(field, row, v, coeff)
-            _submul(field, combo, rcombo, coeff)
-            for k, held in col_sets:
-                if k in row:
-                    held.add(i)
-                else:
-                    held.discard(i)
-        n = len(rows)
-        for _, held in col_sets:
-            held.add(n)
-        self.pos[pivot] = n
-        rows.append((pivot, v, rcombo))
+        self.pos[pivot] = len(self.rows)
+        self.rows.append((pivot, v, rcombo))
         return None
 
 

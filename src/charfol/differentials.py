@@ -21,8 +21,6 @@ class OneForm:
     __slots__ = ("chart", "comps", "t_comp", "unreduced_at")
 
     def __init__(self, chart, comps, t_comp=None, unreduced_at=()):
-        if isinstance(comps, dict):
-            comps = [comps.get(v, chart.zero()) for v in chart.vars]
         self.chart = chart
         self.comps = tuple(chart.nf(c if isinstance(c, MultiPoly) else chart.constant(c)) for c in comps)
         if _has_t(chart):

@@ -47,12 +47,13 @@ class MonomialBudgetExceeded(RuntimeError):
 
 
 class Derivation:
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ("chart", "coeffs", "_p_power")
 
     def __init__(self, chart, coeffs):
         if isinstance(coeffs, dict):
             coeffs = [coeffs.get(v, chart.zero()) for v in chart.vars]
         self.chart = chart
+        self._p_power = None
         self.coeffs = tuple(
             chart.nf(c if isinstance(c, MultiPoly) else chart.constant(c)) for c in coeffs
         )
@@ -88,15 +89,17 @@ class Derivation:
 
 
 def p_power(D):
-    """D^[p]: its images are D applied p-1 times to the images of D."""
-    p = D.chart.domain.p
-    imgs = []
-    for g in D.coeffs:
-        h = g
-        for _ in range(p - 1):
-            h = D._apply_reduced(h)
-        imgs.append(h)
-    return Derivation(D.chart, imgs)
+    """D^[p]: its images are D applied p-1 times to the images of D. A
+    derivation never changes, so it keeps the one it builds on the first
+    call, as a series keeps its powers."""
+    if D._p_power is None:
+        imgs = []
+        for h in D.coeffs:
+            for _ in range(D.chart.domain.p - 1):
+                h = D._apply_reduced(h)
+            imgs.append(h)
+        D._p_power = Derivation(D.chart, imgs)
+    return D._p_power
 
 
 def pairing(form, D):

@@ -1,15 +1,14 @@
 """Rank-2 numerical intersection lattices for a ruled surface over the curve
 and for the degree-p cyclic cover built along the distinguished divisor.
 
-Classes are tracked as exact rational pairs a*H + b*F (section and fiber).
-Each ledger lists the classes it defines and checks identities between their
-intersection numbers as equalities of Fractions, recording a false one as a
-failed check; nothing is floating point. deg L = d * deg N throughout, and
+Classes are tracked as integer pairs a*H + b*F (section and fiber) on an
+integral Gram matrix. Each ledger lists the classes it defines and checks
+identities between their intersection numbers as equalities of integers,
+recording a false one as a failed check; nothing is floating point, and a
+Fraction a caller passes stays exact. deg L = d * deg N throughout, and
 when the base curve exists (d >= 2) its genus must satisfy
 2g - 2 = p*d*degN or the lattice refuses to build.
 """
-
-from fractions import Fraction
 
 from .tango import check_domain, plane_genus
 
@@ -52,8 +51,7 @@ class SurfaceLattice:
         else:
             self.genus = None
         self.names = ("H", "F") if tag == "ruled" else ("T", "F")
-        self_int = Fraction(self.deg_l if tag == "ruled" else self.deg_n)
-        self.gram = ((self_int, Fraction(1)), (Fraction(1), Fraction(0)))
+        self.gram = ((self.deg_l if tag == "ruled" else self.deg_n, 1), (1, 0))
 
     def cls(self, a, b):
         return DivClass(self, a, b)
@@ -73,8 +71,8 @@ class DivClass:
 
     def __init__(self, lattice, a, b):
         self.lattice = lattice
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a
+        self.b = b
 
     def _check(self, other):
         if not isinstance(other, DivClass) or other.lattice is not self.lattice:
@@ -96,9 +94,9 @@ class DivClass:
 
     def dot(self, other):
         self._check(other)
-        g = self.lattice.gram
-        va, vb = (self.a, self.b), (other.a, other.b)
-        return sum(va[i] * g[i][j] * vb[j] for i in range(2) for j in range(2))
+        (g00, g01), (g10, g11) = self.lattice.gram
+        a, b = other.a, other.b
+        return self.a * (g00 * a + g01 * b) + self.b * (g10 * a + g11 * b)
 
     def __eq__(self, other):
         if not isinstance(other, DivClass):
@@ -147,9 +145,9 @@ def verify_ruled_formulas(p, d, deg_n):
               "definitions": {"S": str(S), "Gamma": str(Gamma), "K": str(K)},
               "modeling_assumption": "H^2 = degL, the degree of the rank-2 "
               "extension of the trivial bundle by the dualized twist"}
-    _check(report, "(K+S), S adjunction", (K + S).dot(S), Fraction(2 * g - 2))
-    _check(report, "(K+F), F adjunction", (K + F).dot(F), Fraction(-2))
-    _check(report, "S disjoint from Gamma", S.dot(Gamma), Fraction(0))
+    _check(report, "(K+S), S adjunction", (K + S).dot(S), 2 * g - 2)
+    _check(report, "(K+F), F adjunction", (K + F).dot(F), -2)
+    _check(report, "S disjoint from Gamma", S.dot(Gamma), 0)
     report["ok"] = all(c["pass"] for c in report["checks"])
     return report
 
@@ -169,10 +167,10 @@ def verify_raynaud_formulas(p, d, deg_n):
               "deg_K_F": k_f, "fiber_arithmetic_genus": (k_f + 2) // 2,
               "definitions": {"K_X": str(KX), "Sigma": str(Sigma)},
               "checks": []}
-    _check(report, "(K_X+F), F fiber adjunction", (KX + F).dot(F), Fraction(k_f))
-    _check(report, "Sigma, T disjoint", Sigma.dot(T), Fraction(0))
-    _check(report, "Sigma self-intersection", Sigma.dot(Sigma), Fraction(-(p**2) * deg_n))
-    _check(report, "(K_X+T), T section adjunction", (KX + T).dot(T), Fraction(2 * g - 2))
+    _check(report, "(K_X+F), F fiber adjunction", (KX + F).dot(F), k_f)
+    _check(report, "Sigma, T disjoint", Sigma.dot(T), 0)
+    _check(report, "Sigma self-intersection", Sigma.dot(Sigma), -(p**2) * deg_n)
+    _check(report, "(K_X+T), T section adjunction", (KX + T).dot(T), 2 * g - 2)
     report["ok"] = all(c["pass"] for c in report["checks"])
     return report
 
@@ -193,10 +191,10 @@ def ample_class_A(p, d, deg_n):
               "only, not against every irreducible curve"}
     positivity = {"A^2": A.dot(A), "A.T": A.dot(T), "A.F": A.dot(F),
                   "A.Sigma": A.dot(Sigma)}
-    _check(report, "A^2 = (d^2-1)*degN", positivity["A^2"], Fraction((d * d - 1) * deg_n))
-    _check(report, "A.T = d*degN", positivity["A.T"], Fraction(d * deg_n))
-    _check(report, "A.F = d-1", positivity["A.F"], Fraction(d - 1))
-    _check(report, "A.Sigma = p*degN", positivity["A.Sigma"], Fraction(p * deg_n))
+    _check(report, "A^2 = (d^2-1)*degN", positivity["A^2"], (d * d - 1) * deg_n)
+    _check(report, "A.T = d*degN", positivity["A.T"], d * deg_n)
+    _check(report, "A.F = d-1", positivity["A.F"], d - 1)
+    _check(report, "A.Sigma = p*degN", positivity["A.Sigma"], p * deg_n)
     for name, value in positivity.items():
         if value <= 0:
             raise NonPositive(f"{name} = {value} is not positive")

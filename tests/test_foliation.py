@@ -78,6 +78,31 @@ def test_p_power_matches_literal_iteration():
                 assert Dp.apply(C.var(v)) == lit
 
 
+def test_a_derivation_keeps_its_p_power():
+    C = raynaud_chart()
+    D = kernel_of_form(OneForm.d(C, C.var("z")))
+    assert p_power(D) is p_power(D)
+
+
+@pytest.mark.parametrize("chart", ["raynaud-local", "affine-plane"])
+def test_cmd_foliation_builds_d_p_once(chart, monkeypatch):
+    from charfol import cli
+
+    built = cli.preset_chart(chart, 5, 3)
+    made = []
+    init = Derivation.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Derivation, "__init__", counting_init)
+    rep = cli.cmd_foliation(5, 3, chart, built=built)
+    assert rep.status == "pass"
+    # the section pairing and the p-closedness check share one D^[p]
+    assert len(made) == 1
+
+
 def test_p_closed_examples():
     C = ChartAlgebra(K, ("x", "y"), [])
     Dy = Derivation(C, [C.zero(), C.one()])

@@ -70,20 +70,23 @@ def test_tracker_reads_only_the_rows_it_must():
     for i in range(500):
         tracker.insert({i: one, 1000: one} if i < 10 else {i: one}, i)
     rows = tracker.rows = CountingRows(tracker.rows)
+    # reduce reads the rows whose pivots it meets, and only those
     residual, combo = tracker.reduce({250: F5.from_int(3)})
     assert (residual, combo) == ({}, {250: F5.from_int(3)})
     assert rows.reads == 1
-    # a new pivot is cleared from the rows holding it, and only from those
+    # a new pivot leaves the rows holding it as they are: insert reads no
+    # stored row beyond its own reduce, which meets no pivot here
     rows.reads = 0
-    holding = set(tracker.cols[1000])
-    assert holding == set(range(10))
     assert tracker.insert({1000: one}, 500) is None
-    assert rows.reads == len(holding)
-    for i in holding:
-        _, row, rcombo = rows[i]
-        assert row == {i: one}
-        assert rcombo == {i: one, 500: -one}
-    assert tracker.cols[1000] == {500}
+    assert rows.reads == 0
+    assert tracker.pos[1000] == 500
+    for i in range(10):
+        assert rows[i] == (i, {i: one, 1000: one}, {i: one})
+    # an earlier row holding the later pivot 1000 brings it into the walk,
+    # which clears it after pivot 0
+    rows.reads = 0
+    assert tracker.reduce({0: one}) == ({}, {0: one, 500: -one})
+    assert rows.reads == 2
 
 
 @pytest.mark.parametrize("field", [F5, gf.Field(5, 2)], ids=["F_5", "F_25"])

@@ -118,3 +118,27 @@ def test_exact_rational_arithmetic():
     lat = SurfaceLattice("raynaud", 3, 2, 3)
     half = Fraction(1, 2) * lat.section()
     assert half.dot(lat.fiber()) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("p, d, degn", [(3, 2, 3), (5, 3, 12), (7, 4, 25)])
+def test_every_ledger_compares_integers(p, d, degn, monkeypatch):
+    from charfol import raynaud
+
+    compared = []
+    check = raynaud._check
+
+    def recording(report, name, lhs, rhs):
+        compared.append((lhs, rhs))
+        check(report, name, lhs, rhs)
+
+    monkeypatch.setattr(raynaud, "_check", recording)
+    verify_ruled_formulas(p, d, degn)
+    verify_raynaud_formulas(p, d, degn)
+    ample_class_A(p, d, degn)
+    global_generation_numerics(p, d, degn)
+    assert len(compared) == 3 + 4 + 4 + 2
+    for lhs, rhs in compared:
+        for side in (lhs, rhs):
+            # the generation ledger compares classes, the others numbers
+            values = (side.a, side.b) if isinstance(side, DivClass) else (side,)
+            assert all(type(x) is int for x in values), (lhs, rhs)
