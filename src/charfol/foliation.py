@@ -27,10 +27,10 @@ class DegreeBoundTooSmall(RuntimeError):
     pass
 
 
-# the most reduced monomials ring_of_constants builds and applies D to. On
-# the raynaud-local models, the pairs (43,2), (47,2) and (59,3) need 819,025,
-# 1,172,889 and 1,893,379 at their factorization bounds; (61,2) needs
-# 3,356,224
+# the most reduced monomials ring_of_constants builds; it applies D to them
+# only when some image can be coupled. On the raynaud-local models, the
+# pairs (43,2), (47,2) and (59,3) need 819,025, 1,172,889 and 1,893,379 at
+# their factorization bounds; (61,2) needs 3,356,224
 MONOMIAL_BUDGET = 2_000_000
 
 
@@ -257,6 +257,14 @@ def ring_of_constants(D, max_total):
     is in no dependency; only the remaining, coupled images are spanned.
     Raises MonomialBudgetExceeded, before building any monomial, when there
     are more than MONOMIAL_BUDGET of them.
+
+    When D has one nonzero image D(x_i) = c*x^m, one term that reaches no
+    relation, no image is built: each nonzero image e_i*c*x^(e - 1_i + m)
+    is already reduced and one term, and distinct monomials e give distinct
+    terms, so none is coupled and the constants are the monomials with
+    e_i = 0 mod p. Without the reach condition this fails: on z^2 = x*z,
+    D = z*d/dy sends x*y and y*z to x*z and z^2, equal in normal form, and
+    x*y - y*z is a constant with y exponent 1.
     """
     chart = D.chart
     domain = chart.domain
@@ -266,9 +274,6 @@ def ring_of_constants(D, max_total):
         raise MonomialBudgetExceeded(max_total, needed, MONOMIAL_BUDGET)
     monos = chart.reduced_monomials(max_total)
     field = domain if isinstance(domain, gf.Field) else None
-    rules = _rules(chart, field)
-    # r mod p as a scalar of the vectors: the code of r is r itself
-    scalars = range(p) if field else [domain.from_int(r) for r in range(p)]
     images = []  # (i, {e_f - 1_i: coefficient of x^e_f in D(x_i)}, reach)
     for i, g in enumerate(D.coeffs):
         if not g.terms:
@@ -279,6 +284,14 @@ def ring_of_constants(D, max_total):
         reach = [(rel.index, rel.degree - lift) for rel in chart.relations
                  if (lift := max(s[rel.index] for s in shifts)) > 0]
         images.append((i, shifts, reach))
+    if len(images) == 1 and len(images[0][1]) == 1 and not images[0][2]:
+        kernel_basis([], domain)  # the one span, as below, of no coupled image
+        i = images[0][0]
+        one = 1 if field else domain.one()
+        return [{e: one} for e in monos if not e[i] % p]
+    rules = _rules(chart, field)
+    # r mod p as a scalar of the vectors: the code of r is r itself
+    scalars = range(p) if field else [domain.from_int(r) for r in range(p)]
     scaled = {}  # (i, r) -> the items of r * D(x_i), keyed by shift
     vectors = []
     holders = {}  # monomial -> how many images hold it

@@ -221,6 +221,15 @@ def _fq_raynaud_derivation(images, field=F3):
 F9 = gf.Field(3, 2)
 
 
+def _zero_divisor_derivation():
+    # D = z*d/dy on z^2 = x*z over F_3: the image z of y is one term, but
+    # x*y and y*z go to x*z and z^2, equal in normal form, so x*y - y*z is
+    # a constant with y exponent 1
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(F3, vars, [(parse_poly("z^2 - x*z", vars, F3), "z")])
+    return Derivation(C, [C.zero(), C.var("z"), C.zero()])
+
+
 def _f9_plane_derivation(x_image):
     C = ChartAlgebra(F9, ("x", "y"), [])
     return Derivation(C, [C.poly(x_image), C.one()])
@@ -246,9 +255,15 @@ def _f9_plane_derivation(x_image):
     lambda: _fq_raynaud_derivation(["0", "1", "0"], F9),
     lambda: _f9_plane_derivation("y"),
     lambda: _f9_plane_derivation("u*y"),
+    # one one-term image that is not a constant and reaches no relation: the
+    # constants are read off the exponents, and no image is built
+    lambda: _fq_raynaud_derivation(["0", "x", "0"]),
+    # one one-term image that reaches the relation: the span path
+    _zero_divisor_derivation,
 ], ids=["t*y*d/dx + d/dy", "z^3 - t^3*y^3 - t*x", "z^2 - y^3 - t*x",
         "F_3 d/dy on z^2 - y^3 - x", "F_3 y*d/dx + d/dy", "F_3 zero derivation",
-        "F_9 d/dy on z^2 - y^3 - x", "F_9 y*d/dx + d/dy", "F_9 u*y*d/dx + d/dy"])
+        "F_9 d/dy on z^2 - y^3 - x", "F_9 y*d/dx + d/dy", "F_9 u*y*d/dx + d/dy",
+        "F_3 x*d/dy on z^2 - y^3 - x", "F_3 z*d/dy on z^2 - x*z"])
 def test_ring_of_constants_matches_applying_D_to_each_monomial(make):
     D = make()
     C = D.chart
@@ -279,14 +294,23 @@ def _recording_kernel_basis(monkeypatch):
 
 
 def test_ring_of_constants_spans_no_image_of_d_by_dy(monkeypatch):
+    from charfol import foliation
     from charfol.cli import preset_chart
 
     spanned = _recording_kernel_basis(monkeypatch)
     chart, D, _ = preset_chart("raynaud-local", 7, 4)
     bound = 21
-    basis = ring_of_constants(D, bound)
+
+    def no_image(*args):
+        raise AssertionError("a Leibniz image was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(foliation, "_addmul", no_image)
+        m.setattr(foliation, "_nf", no_image)
+        basis = ring_of_constants(D, bound)
     # one kernel_basis call, with no vectors: D = d/dy sends each monomial to
-    # a multiple of a monomial no other image holds
+    # a multiple of a monomial no other image holds, so the constants are
+    # read off the exponents and no image is built
     assert spanned == [[]]
     # the constants are the monomials whose y exponent 7 divides
     assert [list(b) for b in basis] == [
