@@ -7,6 +7,8 @@ normal form every other module relies on for equality. Sums, products and
 normal forms are _linalg's kernels on term dicts, run on elements here.
 """
 
+from itertools import accumulate
+
 from . import gf
 from ._linalg import _addmul, _mul, _nf
 
@@ -785,10 +787,13 @@ class ChartAlgebra:
 
     def count_reduced_monomials(self, max_total):
         """len(self.reduced_monomials(max_total)), without building them."""
-        # by_total[s]: how many exponent tails have total s
+        # by_total[s]: how many exponent tails have total s; a variable of
+        # cap c makes it the sum of by_total[s-c .. s], a difference of two
+        # running sums
         by_total = [1] + [0] * max_total
         for cap in self._caps(max_total):
-            by_total = [sum(by_total[s - k] for k in range(min(cap, s) + 1))
+            run = [0, *accumulate(by_total)]
+            by_total = [run[s + 1] - run[s - cap if s > cap else 0]
                         for s in range(max_total + 1)]
         return sum(by_total)
 

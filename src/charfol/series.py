@@ -478,8 +478,3 @@ def implicit_series(F, N):
         raise NotSimpleRoot("dF/dw vanishes at the origin: root is not simple")
     v = LaurentSeries.t_power(field, 1, N)
     return newton(F, wname, {vname: v}, LaurentSeries.zero(field, 1), N)
-
-
-def ord_of_differential(x):
-    """Valuation of dx = x'(t) dt; PrecisionExhausted when x' dies to precision."""
-    return x.derivative().val()

@@ -9,7 +9,7 @@ a second chart containing the one point at infinity, at (v, w) = (0, 0).
 
 from . import gf
 from .algebra import MultiPoly, ChartAlgebra
-from .series import LaurentSeries, implicit_series, ord_of_differential
+from .series import LaurentSeries, evaluate, implicit_series
 
 
 class GenusMismatch(AssertionError):
@@ -70,8 +70,9 @@ class PlanarTangoCurve:
         return 2 * self.genus() - 2
 
     def default_precision(self):
-        # the second branch coefficient sits at n + (n-1)^2
-        return self.n + (self.n - 1) ** 2 + 2
+        # the branch is w = v^n + O(v^(n+1)), and ord_dx_at_infinity needs
+        # no more of it: every valuation in F_v/(F_w*w^2) is then fixed
+        return self.n + 1
 
     def branch_at_infinity(self, prec=None):
         """w as a series in v along the unique point with w = 0."""
@@ -81,10 +82,21 @@ class PlanarTangoCurve:
         return implicit_series(F, prec)
 
     def ord_dx_at_infinity(self, prec=None):
-        """Vanishing order of dx at the infinite point, via x = 1/w(v)."""
+        """Vanishing order of dx at the infinite point, read off the
+        relation F = v^n - v*w^(n-1) - w along the branch w(v).
+
+        x = 1/w, so dx = -w'/w^2 dv, and F(v, w(v)) = 0 gives
+        w' = -F_v/F_w; F_w(0,0) = -1 is a unit, so v is a local parameter
+        and ord dx = val(F_v/(F_w*w^2)), where F_v = -w^(n-1) since p | n.
+        With w = v^n + O(v^(n+1)), each factor's valuation is fixed, so
+        precision n + 1 decides it. Differentiating 1/w instead loses its
+        leading term, d(v^(-n)) = 0, and needs the branch to n + (n-1)^2.
+        """
         w = self.branch_at_infinity(prec)
-        x = w.reciprocal()
-        return ord_of_differential(x)
+        F = self.infinity.relations[0].poly
+        at = {"v": LaurentSeries.t_power(self.field, 1, w.prec), "w": w}
+        Fv, Fw = (evaluate(F.partial(name), at, w.prec) for name in ("v", "w"))
+        return (Fv / (Fw * w**2)).val()
 
     def divisor_of_dx(self, prec=None):
         """dx has no zeros or poles on the affine chart (dy = -(n-1)x^(n-2) dx

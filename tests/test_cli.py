@@ -183,8 +183,9 @@ def test_pipeline_passes_on_valid_grid(p, d):
     assert check["values"]["counterexamples"] == []
 
 
-@pytest.mark.parametrize("precision", [1, 5, 6, 8, 12, 20])
+@pytest.mark.parametrize("precision", [1, 5, 6])
 def test_tango_verify_short_precision_is_inconclusive(precision):
+    # up to n = 6 the branch w = v^6 + ... looks like 0
     code, out = run(["tango-verify", "--p", "3", "--d", "2",
                      "--precision", str(precision), "--json"])
     assert code == 1
@@ -195,8 +196,19 @@ def test_tango_verify_short_precision_is_inconclusive(precision):
     assert check["status"] == "inconclusive"
     assert check["values"]["precision"] == precision
     # the reason names the precision the curve uses by default
-    assert check["values"]["default_precision"] == 33
-    assert "33" in check["values"]["reason"]
+    assert check["values"]["default_precision"] == 7
+    assert "precision 7 by default" in check["values"]["reason"]
+
+
+@pytest.mark.parametrize("precision", [7, 8, 12, 20])
+def test_tango_verify_passes_from_n_plus_1(precision):
+    code, out = run(["tango-verify", "--p", "3", "--d", "2",
+                     "--precision", str(precision), "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass"
+    check = next(c for c in rep["checks"] if c["name"] == "ord-dx-at-infinity")
+    assert check["values"]["ord"] == 18
 
 
 @pytest.mark.parametrize("command", [

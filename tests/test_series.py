@@ -9,7 +9,6 @@ from charfol.series import (
     NotSimpleRoot,
     PrecisionExhausted,
     implicit_series,
-    ord_of_differential,
 )
 
 F3 = gf.Field(3)
@@ -102,9 +101,3 @@ def test_implicit_series_needs_simple_root():
     F = parse_poly("v^2 - w^2", ("v", "w"), F3)
     with pytest.raises(NotSimpleRoot):
         implicit_series(F, 8)
-
-
-def test_ord_of_differential():
-    x = LaurentSeries.t_power(F5, -2, 10)
-    # dx = -2 t^-3 dt
-    assert ord_of_differential(x) == -3

@@ -25,8 +25,9 @@ def test_genus_formula():
 
 
 def test_branch_satisfies_relation():
+    # at 33 = n + (n-1)^2 + 2 the branch has its second term, at v^31
     c = PlanarTangoCurve(3, 2)
-    w = c.branch_at_infinity()
+    w = c.branch_at_infinity(33)
     F = c.infinity.relations[0].poly
     from charfol.series import LaurentSeries
 
@@ -35,6 +36,18 @@ def test_branch_satisfies_relation():
     residual = F.evaluate({"v": v, "w": w}, conv)
     assert not residual.nonzero_before(residual.prec)
     assert w.val() == c.n
+    assert w.coeff(c.n + (c.n - 1) ** 2) != 0
+
+
+@pytest.mark.parametrize("p, d, e", [(3, 2, 1), (5, 2, 1), (3, 4, 1), (5, 3, 1),
+                                     (7, 4, 1), (3, 2, 2)])
+def test_ord_matches_the_derivative_of_one_over_w(p, d, e):
+    # the reference route, over F_(p^e): d(1/w) loses its leading term
+    # v^(-n) since p | n, so the branch must reach its second term, at
+    # n + (n-1)^2
+    c = PlanarTangoCurve(p, d, gf.Field(p, e))
+    w = c.branch_at_infinity(c.n + (c.n - 1) ** 2 + 2)
+    assert c.ord_dx_at_infinity() == (1 / w).derivative().val() == c.n * (c.n - 3)
 
 
 def test_ord_oracles_each_under_5s():
@@ -65,7 +78,8 @@ def test_smoothness_certificate():
 
 
 def test_insufficient_precision_is_loud():
-    # at prec 4 the branch looks like 0, so the 1/w step blows up explicitly
+    # at prec 4 <= n the branch looks like 0, so dividing by w^2 blows up
+    # explicitly
     c = PlanarTangoCurve(3, 2)
     with pytest.raises((PrecisionExhausted, ValueError, ZeroDivisionError)):
         c.ord_dx_at_infinity(prec=4)

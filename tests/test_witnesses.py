@@ -105,12 +105,17 @@ def _singular_affine_chart():
     return tango.PlanarTangoCurve, "__init__", singular
 
 
-def _dx_with_term_of_order_0():
-    """ord of d(x + v) for dx: a differential with a term of order prime to
-    p below n(n-3), as on a curve without the Tango property."""
-    order = tango.ord_of_differential
-    return tango, "ord_of_differential", \
-        lambda x: order(x + LaurentSeries.t_power(x.field, 1, x.prec))
+def _branch_with_term_of_order_1():
+    """The branch at infinity plus v: w of order 1, so dx = -w^(n-3)/F_w dv
+    has order n - 3, not n(n-3), as on a curve without the Tango property.
+    The smoothness certificate reads the relation, not the branch."""
+    branch = tango.PlanarTangoCurve.branch_at_infinity
+
+    def shifted(self, prec=None):
+        w = branch(self, prec)
+        return w + LaurentSeries.t_power(self.field, 1, w.prec)
+
+    return tango.PlanarTangoCurve, "branch_at_infinity", shifted
 
 
 def _wrong_certificate():
@@ -155,7 +160,7 @@ BUDGET = (foliation, "MONOMIAL_BUDGET", 255)  # (5,2) needs 256 monomials
 WITNESSES = {
     # tango-verify
     "smoothness": ("tango-verify --p 3 --d 2", _singular_affine_chart()),
-    "ord-dx-at-infinity": ("tango-verify --p 3 --d 2", _dx_with_term_of_order_0()),
+    "ord-dx-at-infinity": ("tango-verify --p 3 --d 2", _branch_with_term_of_order_1()),
     "structure": ("tango-verify --p 3 --d 2 --precision 5", None),
     # raynaud-ledger
     "ruled/(K+S), S adjunction": (LEDGER, _gram("ruled", SELF_PLUS_1)),
