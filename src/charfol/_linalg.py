@@ -12,13 +12,15 @@ stored row, the combination of inserted originals that produced it, so
 dependencies come out as ready-made certificates; a gf.Field domain gives it
 codes.
 
-Invariant: each row's pivot is its least label, with coefficient 1, and no
-row holds the pivot of an earlier one; rows are never rewritten. Subtracting
-a row therefore only touches labels above its pivot, so `reduce` clears the
-pivots a vector meets in increasing order, through a heap fed by the labels
-each subtraction brings in; `pos` maps a pivot to its row's index. The
-residual (free of every pivot) and the combination of stored originals are
-unique, so they do not depend on the order in which rows were reduced.
+Invariant: each row's least label is its pivot, with coefficient 1, and
+pivots are distinct; rows are never rewritten, and a row may hold the pivots
+of other rows, earlier or later. Subtracting a row therefore only touches
+labels above its pivot, so `reduce` clears the pivots a vector meets in
+increasing order, through a heap fed by the labels each subtraction brings
+in; `pos` maps a pivot to its row's index. The residual (free of every
+pivot) and the combination of stored originals are unique, so they depend
+neither on the order in which rows were reduced nor on whether a row was
+reduced before it was stored.
 """
 
 from heapq import heapify, heappop, heappush
@@ -133,16 +135,24 @@ class SpanTracker:
 
         Returns None if it enlarges the span, else the dependency
         certificate: a dict c with vec = sum(c[k] * original_k).
+
+        The least label of a nonzero combination of rows is the least pivot
+        in it, so a vector whose least label is no pivot is independent: it
+        is stored as its row, scaled to lead 1, and reduce is not called.
         """
         field = self.field
-        v, c = self.reduce(vec)
-        if not v:
-            return c
-        pivot = min(v)
+        if vec and (pivot := min(vec)) not in self.pos:
+            v, c = vec, None
+        else:
+            v, c = self.reduce(vec)
+            if not v:
+                return c
+            pivot = min(v)
         inv = v[pivot].inverse() if field is None else field.inv(v[pivot])
         v = _addmul(field, {}, v, inv)
-        rcombo = _submul(field, {}, c, inv)
-        _addmul(field, rcombo, {tag: 1}, inv)
+        # the row is inv * (vec - sum(c[k] * original_k))
+        rcombo = {tag: inv} if c is None else _addmul(
+            field, _submul(field, {}, c, inv), {tag: 1}, inv)
         self.pos[pivot] = len(self.rows)
         self.rows.append((pivot, v, rcombo))
         return None

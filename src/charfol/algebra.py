@@ -797,14 +797,19 @@ class ChartAlgebra:
                         for s in range(max_total + 1)]
         return sum(by_total)
 
-    def reduced_monomials(self, max_total):
-        """Exponent tuples of normal-form monomials with total degree <= max_total."""
+    def reduced_monomials(self, max_total, index=None, step=1):
+        """Exponent tuples of normal-form monomials with total degree <= max_total;
+        given index, only those whose exponent of variable index is a
+        multiple of step, in the same order."""
         # by_total[s]: the exponent tails over the variables from i on with
         # total s, lex ascending; built from the last variable backwards
         by_total = [[()]] + [[] for _ in range(max_total)]
-        for cap in reversed(self._caps(max_total)):
+        caps = self._caps(max_total)
+        for i in reversed(range(len(caps))):
+            stride = step if i == index else 1
             by_total = [
-                [(k,) + tail for k in range(min(cap, s) + 1) for tail in by_total[s - k]]
+                [(k,) + tail for k in range(0, min(caps[i], s) + 1, stride)
+                 for tail in by_total[s - k]]
                 for s in range(max_total + 1)
             ]
         return [e for block in by_total for e in block]

@@ -27,10 +27,12 @@ class DegreeBoundTooSmall(RuntimeError):
     pass
 
 
-# the most reduced monomials ring_of_constants builds; it applies D to them
-# only when some image can be coupled. On the raynaud-local models, the
-# pairs (43,2), (47,2) and (59,3) need 819,025, 1,172,889 and 1,893,379 at
-# their factorization bounds; (61,2) needs 3,356,224
+# the most reduced monomials up to its degree bound ring_of_constants
+# accepts, counted before it builds any: it builds them all and applies D to
+# them when D has more than one image term, and on the one-term path builds
+# only the constants, about 1/p of them. On the raynaud-local models, the
+# pairs (43,2), (47,2) and (59,3) count 819,025, 1,172,889 and 1,893,379 at
+# their factorization bounds; (61,2) counts 3,356,224
 MONOMIAL_BUDGET = 2_000_000
 
 
@@ -256,15 +258,15 @@ def ring_of_constants(D, max_total):
     shares no monomial with any other is independent of all of them, so it
     is in no dependency; only the remaining, coupled images are spanned.
     Raises MonomialBudgetExceeded, before building any monomial, when there
-    are more than MONOMIAL_BUDGET of them.
+    are more than MONOMIAL_BUDGET reduced monomials, whichever path runs.
 
     When D has one nonzero image D(x_i) = c*x^m, one term that reaches no
     relation, no image is built: each nonzero image e_i*c*x^(e - 1_i + m)
     is already reduced and one term, and distinct monomials e give distinct
     terms, so none is coupled and the constants are the monomials with
-    e_i = 0 mod p. Without the reach condition this fails: on z^2 = x*z,
-    D = z*d/dy sends x*y and y*z to x*z and z^2, equal in normal form, and
-    x*y - y*z is a constant with y exponent 1.
+    e_i = 0 mod p, the only ones built. Without the reach condition this
+    fails: on z^2 = x*z, D = z*d/dy sends x*y and y*z to x*z and z^2, equal
+    in normal form, and x*y - y*z is a constant with y exponent 1.
     """
     chart = D.chart
     domain = chart.domain
@@ -272,7 +274,6 @@ def ring_of_constants(D, max_total):
     needed = chart.count_reduced_monomials(max_total)
     if needed > MONOMIAL_BUDGET:
         raise MonomialBudgetExceeded(max_total, needed, MONOMIAL_BUDGET)
-    monos = chart.reduced_monomials(max_total)
     field = domain if isinstance(domain, gf.Field) else None
     images = []  # (i, {e_f - 1_i: coefficient of x^e_f in D(x_i)}, reach)
     for i, g in enumerate(D.coeffs):
@@ -286,9 +287,9 @@ def ring_of_constants(D, max_total):
         images.append((i, shifts, reach))
     if len(images) == 1 and len(images[0][1]) == 1 and not images[0][2]:
         kernel_basis([], domain)  # the one span, as below, of no coupled image
-        i = images[0][0]
         one = 1 if field else domain.one()
-        return [{e: one} for e in monos if not e[i] % p]
+        return [{e: one} for e in chart.reduced_monomials(max_total, images[0][0], p)]
+    monos = chart.reduced_monomials(max_total)
     rules = _rules(chart, field)
     # r mod p as a scalar of the vectors: the code of r is r itself
     scalars = range(p) if field else [domain.from_int(r) for r in range(p)]
@@ -378,10 +379,11 @@ def _generator_monomials(chart, gens, bound, targets=()):
     MultiPoly is built. Each product goes into one SpanTracker over the
     chart's domain, tagged by its exponent tuple, as it is found. Given
     targets, the closure stops once every target is in the span: each keeps
-    a residual, reduced by every new row, and the span only grows. Returns
-    the (exponents, reduced product) list in that order, the tracker, and
-    (exponents, certificate) for each dependent product: the certificate
-    writes it in the tags of earlier products, so it is one relation.
+    its residual, free of every pivot, reduced again whenever a new row's
+    pivot is in it, and the span only grows. Returns the (exponents,
+    reduced product) list in that order, the tracker, and (exponents,
+    certificate) for each dependent product: the certificate writes it in
+    the tags of earlier products, so it is one relation.
     """
     tracker = SpanTracker(chart.domain)
     field = tracker.field
@@ -390,7 +392,7 @@ def _generator_monomials(chart, gens, bound, targets=()):
     one = {(0,) * len(chart.vars): 1 if field else chart.domain.one()}
     out = [(zero_exps, one)]
     tracker.insert(one, zero_exps)
-    residuals = _reduced(field, [dict(t) for t in targets if t], tracker.rows[-1])
+    residuals = [r for t in targets if (r := tracker.reduce(t)[0])]
     dependencies = []
     seen = {zero_exps}
     work = [(zero_exps, one)]
@@ -408,20 +410,20 @@ def _generator_monomials(chart, gens, bound, targets=()):
             cert = tracker.insert(prod, e2)
             if cert is None:
                 work.append((e2, prod))
-                if residuals and not _reduced(field, residuals, tracker.rows[-1]):
+                if residuals and not _reduced(tracker, residuals):
                     break
             else:
                 dependencies.append((e2, cert))
     return out, tracker, dependencies
 
 
-def _reduced(field, residuals, row):
-    """The list residuals, each reduced in place by a new tracker row and
-    those reaching zero dropped; none holds a pivot of an earlier row."""
-    pivot, vec, _ = row
-    for r in residuals:
-        if pivot in r:
-            _submul(field, r, vec, r[pivot])
+def _reduced(tracker, residuals):
+    """The list residuals, free of every pivot but the newest row's, reduced
+    by the tracker in place and those reaching zero dropped. A row may hold
+    earlier pivots, so a residual holding the new pivot is reduced by every
+    row again, not only by the new one."""
+    pivot = tracker.rows[-1][0]
+    residuals[:] = [tracker.reduce(r)[0] if pivot in r else r for r in residuals]
     residuals[:] = [r for r in residuals if r]
     return residuals
 

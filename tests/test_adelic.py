@@ -440,6 +440,20 @@ def test_presentation_span_stops_at_a_product_of_two_images(monkeypatch, y_image
     assert len(stopped) < len(full)
 
 
+def test_presentation_span_stops_when_a_row_holds_an_earlier_pivot(monkeypatch):
+    # x -> u^2, y -> u + u^2 over F_3: y's row keeps x's pivot u^2, x*y's
+    # row u^3 + u^4 keeps x^2's pivot u^4, and the target u^3 = x*y - x^2
+    # leaves the residual -u^4 on x*y's row alone; it reaches zero only when
+    # x^2's row, the earlier one, is subtracted again
+    S = ChartAlgebra(K, ("u",), [])
+    T = ChartAlgebra(K, ("x", "y"), [])
+    images = {"x": parse_poly("u^2", S.vars, K), "y": parse_poly("u + u^2", S.vars, K)}
+    stopped, full = _stopped_and_full_closures(
+        monkeypatch, lambda: QuotientPresentation(S, T, images))
+    assert [e for e, _ in stopped] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    assert len(stopped) < len(full)
+
+
 def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
     # x = x_s^5 and z = z_s^5 solve their variables and leave their roots
     # precision ceil(64/5) = 13; y = z_s^3 + 4*x_s, set aside once both are

@@ -163,6 +163,15 @@ def test_count_reduced_monomials_matches_the_list(rels, max_total):
     assert C.count_reduced_monomials(max_total) == len(C.reduced_monomials(max_total))
 
 
+@pytest.mark.parametrize("index, step", [(0, 3), (1, 2), (2, 5)])
+@pytest.mark.parametrize("rels", [[], [("z^2 - y^3 - x", "z")]])
+def test_reduced_monomials_with_a_step_are_the_list_filtered(rels, index, step):
+    vars = ("x", "y", "z")
+    C = ChartAlgebra(F3, vars, [(parse_poly(r, vars, F3), v) for r, v in rels])
+    assert C.reduced_monomials(12, index, step) \
+        == [e for e in C.reduced_monomials(12) if not e[index] % step]
+
+
 def test_reduced_monomials_grlex_ascending():
     C = ChartAlgebra(K, ("x", "z"), [(parse_poly("z^2 - x", ("x", "z"), K), "z")])
     monos = C.reduced_monomials(3)

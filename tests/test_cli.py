@@ -665,9 +665,9 @@ def test_monomial_budget_ends_in_an_inconclusive_report(monkeypatch):
     built = []
     reduced_monomials = algebra.ChartAlgebra.reduced_monomials
 
-    def recording(self, max_total):
+    def recording(self, max_total, *args):
         built.append(max_total)
-        return reduced_monomials(self, max_total)
+        return reduced_monomials(self, max_total, *args)
 
     monkeypatch.setattr(algebra.ChartAlgebra, "reduced_monomials", recording)
     code, out = run(["pipeline", "--p", "5", "--d", "2", "--trials", "5", "--json"])

@@ -89,6 +89,27 @@ def test_tracker_reads_only_the_rows_it_must():
     assert rows.reads == 2
 
 
+def test_a_vector_with_a_fresh_least_label_is_stored_unreduced():
+    one, two = F5.one(), F5.from_int(2)
+    tracker = SpanTracker()
+    tracker.insert({5: one}, 0)
+    rows = tracker.rows = CountingRows(tracker.rows)
+    # least label 1 is no pivot, so the vector is independent although it
+    # holds the pivot 5: insert reads no stored row and keeps it as given
+    assert tracker.insert({1: one, 5: two}, 1) is None
+    assert rows.reads == 0
+    # and scaled to lead 1 when it does not lead with 1: 1/3 = 2 in F_5
+    assert tracker.insert({0: F5.from_int(3), 5: one}, 2) is None
+    assert rows.reads == 0
+    assert list(rows) == [(5, {5: one}, {0: one}), (1, {1: one, 5: two}, {1: one}),
+                          (0, {0: one, 5: two}, {2: two})]
+    # reduce clears pivot 1, then the pivot 5 its row brings in: the residual
+    # holds no pivot and target - residual = 1*original_1 - 1*original_0
+    rows.reads = 0
+    assert tracker.reduce({1: one, 5: one, 7: one}) == ({7: one}, {1: one, 0: -one})
+    assert rows.reads == 2
+
+
 @pytest.mark.parametrize("field", [F5, gf.Field(5, 2)], ids=["F_5", "F_25"])
 def test_codes_and_elements_track_the_same_span(field):
     rng = random.Random(field.q)

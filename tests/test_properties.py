@@ -686,6 +686,12 @@ def test_span_tracker_matches_dense_elimination(data):
         cert = tracker.insert(vec, i)
         if cert is not None:
             assert _combine(domain, vectors, cert) == vec
+        # echelon: each row's least label is its pivot, with coefficient 1,
+        # and pos maps distinct pivots to their rows
+        rows = tracker.rows
+        assert [tracker.pos[pivot] for pivot, _, _ in rows] == list(range(len(rows)))
+        for pivot, row, _ in rows:
+            assert min(row) == pivot and row[pivot] == domain.one()
     assert len(tracker.rows) == rank
     kernel = kernel_basis(vectors)
     assert len(kernel) == len(vectors) - rank
@@ -698,6 +704,13 @@ def test_span_tracker_matches_dense_elimination(data):
                                           _nonzero_entries(domain), max_size=3)
                           if vectors else st.just({}))
         targets.append(_combine(domain, vectors, combo))
+    for target in targets:
+        # the residual holds no pivot, and the rest of the target is the
+        # certificate's combination of originals
+        residual, combo = tracker.reduce(target)
+        assert not any(k in tracker.pos for k in residual)
+        assert _submul(None, dict(target), residual, domain.one()) \
+            == _combine(domain, vectors, combo)
     for target, combo in zip(targets, solve_span(vectors, targets)):
         inside = _dense_rank(domain, vectors + [target]) == rank
         assert (combo is not None) == inside
