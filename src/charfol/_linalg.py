@@ -5,12 +5,12 @@ scalars: int codes (gf.FieldElement.n), combined by the kernels of the
 gf.Field handed first to each function, one call per dict, or elements with
 their own operators, combined here, when that field is None. On term dicts,
 vectors labelled by exponent tuples, _addmul and _submul are the one
-multiply-add, _mul the one product and _nf the one normal form: MultiPoly and
-ChartAlgebra run them on elements, the t-free factorization's closure on
-codes. SpanTracker keeps a spanning set in echelon form and, for every
-stored row, the combination of inserted originals that produced it, so
-dependencies come out as ready-made certificates; a gf.Field domain gives it
-codes.
+multiply-add, _mul the one product (_shift when a factor has one term) and
+_nf the one normal form: MultiPoly and ChartAlgebra run them on elements,
+the t-free factorization's closure on codes. SpanTracker keeps a spanning
+set in echelon form and, for every stored row, the combination of inserted
+originals that produced it, so dependencies come out as ready-made
+certificates; a gf.Field domain gives it codes.
 
 Invariant: each row's least label is its pivot, with coefficient 1, and
 pivots are distinct; rows are never rewritten, and a row may hold the pivots
@@ -69,6 +69,13 @@ def _mul(field, a, b):
             elif e in out:
                 del out[e]
     return out
+
+
+def _shift(field, vec, e, c=None):
+    """vec times the one term c * x^e, or x^e for c None: its exponents
+    shifted by e and, unless c is None, its scalars scaled by c."""
+    out = {tuple(map(add, e1, e)): c1 for e1, c1 in vec.items()}
+    return out if c is None else _addmul(field, {}, out, c)
 
 
 def _nf(field, f, rules):
@@ -138,7 +145,10 @@ class SpanTracker:
 
         The least label of a nonzero combination of rows is the least pivot
         in it, so a vector whose least label is no pivot is independent: it
-        is stored as its row, scaled to lead 1, and reduce is not called.
+        is stored as its row, scaled to lead 1, and reduce is not called. An
+        independent vector whose lead is already 1 is stored as the very
+        object given, not a copy: a vector handed to insert must never
+        change afterwards.
         """
         field = self.field
         if vec and (pivot := min(vec)) not in self.pos:
@@ -148,8 +158,10 @@ class SpanTracker:
             if not v:
                 return c
             pivot = min(v)
-        inv = v[pivot].inverse() if field is None else field.inv(v[pivot])
-        v = _addmul(field, {}, v, inv)
+        inv = v[pivot]  # a lead 1 is its own inverse: the row is v itself
+        if inv != 1:
+            inv = inv.inverse() if field is None else field.inv(inv)
+            v = _addmul(field, {}, v, inv)
         # the row is inv * (vec - sum(c[k] * original_k))
         rcombo = {tag: inv} if c is None else _addmul(
             field, _submul(field, {}, c, inv), {tag: 1}, inv)

@@ -261,8 +261,10 @@ class QuotientPresentation:
         variables in the frozenset assigned are known: _SET_ASIDE when none
         of them is left open in it, _WAIT unless exactly one term holds an
         open variable and only as a power p^j, and otherwise
-        (svar, j, factor, closed): the open variable, its root count, the
-        term's cofactor and the closed terms (None when there are none)."""
+        (svar, j, factor, closed, inverses): the open variable, its root
+        count, the term's cofactor, the closed terms (None when there are
+        none) and, for a constant cofactor, the dict in which lift_point
+        keeps its inverse series per precision (None otherwise)."""
         source = self.source
         open_terms = []
         closed = {}
@@ -282,9 +284,10 @@ class QuotientPresentation:
         j = _pure_p_power(e[ui], source.domain.p)
         if j is None:
             return _WAIT  # another equation may pin the variable down first
-        factor = MultiPoly(source.domain, source.vars, {e[:ui] + (0,) + e[ui + 1 :]: c})
+        rest = e[:ui] + (0,) + e[ui + 1 :]
+        factor = MultiPoly(source.domain, source.vars, {rest: c})
         closed = MultiPoly(source.domain, source.vars, closed) if closed else None
-        return source.vars[ui], j, factor, closed
+        return source.vars[ui], j, factor, closed, None if any(rest) else {}
 
     def to_json(self):
         return {
@@ -314,13 +317,16 @@ def lift_point(point, pres):
     term containing exactly one undetermined source variable, raised to a
     power p^j; that variable is then solved by division and j p-th roots,
     unless its cofactor vanishes at this point, and the equation holds by
-    construction. An equation with no undetermined variable left is set
-    aside. pres.lift_step says which case applies, and each round walks the
-    waiting equations once. Source variables never pinned down default to
-    0. Each set-aside image is compared with its target coordinate below the
-    star horizon or the lower precision of the two sides, whichever is
-    lower; a p-th root divides the precision by p, so at p = 5 and N = 64
-    every raynaud-local lift compares y only to t^13, not t^32.
+    construction. The division multiplies by the cofactor's inverse series;
+    a constant cofactor keeps its inverse per precision in the step, so a
+    trial neither evaluates nor inverts it again. An equation with no
+    undetermined variable left is set aside. pres.lift_step says which case
+    applies, and each round walks the waiting equations once. Source
+    variables never pinned down default to 0. Each set-aside image is
+    compared with its target coordinate below the star horizon or the lower
+    precision of the two sides, whichever is lower; a p-th root divides the
+    precision by p, so at p = 5 and N = 64 every raynaud-local lift
+    compares y only to t^13, not t^32.
     """
     if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
@@ -343,13 +349,19 @@ def lift_point(point, pres):
                 set_aside.add(v)
                 continue
             if step is not _WAIT:
-                svar, j, cofactor, closed = step
-                factor = evaluate(cofactor, assigned, N)
-                if not factor.is_zero():
+                svar, j, cofactor, closed, inverses = step
+                inverse = None if inverses is None else inverses.get(N)
+                if inverse is None:
+                    factor = evaluate(cofactor, assigned, N)
+                    if not factor.is_zero():
+                        inverse = factor ** -1
+                        if inverses is not None:
+                            inverses[N] = inverse
+                if inverse is not None:
                     rhs = point.coords[v]
                     rest = (rhs - evaluate(closed, assigned, N) if closed is not None
                             else rhs.truncate(N))
-                    val = rest / factor
+                    val = rest * inverse
                     for _ in range(j):
                         val = val.pth_root()
                         if val is None:

@@ -190,10 +190,11 @@ class MultiPoly:
     def evaluate(self, assignment, convert):
         """Substitute values for every variable.
 
-        assignment: dict var name -> value in a ring V closed under + and *.
-        convert: coefficient -> V. Returns a V element; the zero polynomial
-        returns convert(0). Powers are not cached here: a LaurentSeries
-        keeps its own.
+        assignment: dict var name -> value whose powers lie in a ring V
+        closed under + and * (a series, or series.evaluate's packed slots,
+        whose powers are ints). convert: coefficient -> V. Returns a V
+        element; the zero polynomial returns convert(0). Powers are not
+        cached here: a LaurentSeries keeps its own.
         """
         out = None
         # any term order: the sums in V are exact

@@ -20,7 +20,8 @@ from operator import add
 from . import gf
 from .algebra import MultiPoly, ChartAlgebra, restrict_to_field
 from .differentials import reduce_form
-from ._linalg import SpanTracker, _addmul, _mul, _nf, _submul, kernel_basis, solve_span
+from ._linalg import (SpanTracker, _addmul, _mul, _nf, _shift, _submul, kernel_basis,
+                      solve_span)
 
 
 class DegreeBoundTooSmall(RuntimeError):
@@ -376,40 +377,59 @@ def _generator_monomials(chart, gens, bound, targets=()):
     the span (a dependent product is a linear combination of kept ones, so
     its multiples add nothing to the span). Products are term dicts,
     multiplied and reduced by _mul and _nf on the tracker's scalars; no
-    MultiPoly is built. Each product goes into one SpanTracker over the
-    chart's domain, tagged by its exponent tuple, as it is found. Given
-    targets, the closure stops once every target is in the span: each keeps
-    its residual, free of every pivot, reduced again whenever a new row's
-    pivot is in it, and the span only grows. Returns the (exponents,
-    reduced product) list in that order, the tracker, and (exponents,
-    certificate) for each dependent product: the certificate writes it in
-    the tags of earlier products, so it is one relation.
+    MultiPoly is built. A product by a one-term generator is an exponent
+    shift (_shift), and one by a generator free of every rule variable is
+    already reduced, of degree the parent's plus the generator's (a product
+    of nonzero polynomials over a field). Each product goes into one
+    SpanTracker over the chart's domain, tagged by its exponent tuple, as it
+    is found. Given targets, the closure stops once every target is in the
+    span: each keeps its residual, free of every pivot, reduced again
+    whenever a new row's pivot is in it, and the span only grows. Returns
+    the (exponents, reduced product) list in that order, the tracker, and
+    (exponents, certificate) for each dependent product: the certificate
+    writes it in the tags of earlier products, so it is one relation.
     """
     tracker = SpanTracker(chart.domain)
     field = tracker.field
     rules = _rules(chart, field)
+    ruled = [i for i, _, _ in rules]
     zero_exps = (0,) * len(gens)
-    one = {(0,) * len(chart.vars): 1 if field else chart.domain.one()}
+    unit = 1 if field else chart.domain.one()
+    one = {(0,) * len(chart.vars): unit}
+    # per generator: its one term (exponent, scalar or None for 1) or None,
+    # whether it holds a rule variable, and its degree
+    shapes = []
+    for g in gens:
+        term = None
+        if len(g) == 1:
+            ((e, c),) = g.items()
+            term = e, None if c == unit else c
+        shapes.append((term, any(e[i] for e in g for i in ruled), _degree(g)))
     out = [(zero_exps, one)]
     tracker.insert(one, zero_exps)
     residuals = [r for t in targets if (r := tracker.reduce(t)[0])]
     dependencies = []
     seen = {zero_exps}
-    work = [(zero_exps, one)]
+    work = [(zero_exps, one, 0)]
     while work and (residuals or not targets):
-        exps, vec = work.pop(0)
-        for k, g in enumerate(gens):
+        exps, vec, deg = work.pop(0)
+        for k, (g, (term, ruled_in, g_deg)) in enumerate(zip(gens, shapes)):
             e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
             if e2 in seen:
                 continue
             seen.add(e2)
-            prod = _nf(field, _mul(field, vec, g), rules)
-            if _degree(prod) > bound:
+            prod = _mul(field, vec, g) if term is None else _shift(field, vec, *term)
+            if ruled_in:
+                prod = _nf(field, prod, rules)
+                prod_deg = _degree(prod)
+            else:
+                prod_deg = deg + g_deg
+            if prod_deg > bound:
                 continue
             out.append((e2, prod))
             cert = tracker.insert(prod, e2)
             if cert is None:
-                work.append((e2, prod))
+                work.append((e2, prod, prod_deg))
                 if residuals and not _reduced(tracker, residuals):
                     break
             else:

@@ -9,9 +9,10 @@ g (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990): exp[k] = g^k for k in
 or a power is then arithmetic on logs, a sum one Zech lookup, and Field.inv
 one log subtraction. This module owns code arithmetic: FieldElement's
 operators work on one code, and Field's kernels on a list or term dict of
-codes per call (series and _linalg read no table). The characteristic is
-exposed everywhere as .p; frobenius and pth_root are total maps (the field
-is perfect). Supported bound: q <= 2^16.
+codes per call (series and _linalg read no table); to_slots and from_slots
+pack codes into the Kronecker slots of one int and read them back mod p.
+The characteristic is exposed everywhere as .p; frobenius and pth_root are
+total maps (the field is perfect). Supported bound: q <= 2^16.
 """
 
 import struct
@@ -22,6 +23,30 @@ MAX_Q = 1 << 16
 # the residues mod m of 0..255, for every m with (m-1)^2 < 256: one
 # bytes.translate reduces a product's one-byte slots
 _BYTE_MOD = [None, None] + [(bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)]
+_SLOT_FORMAT = {2: "<%dH", 4: "<%dI", 8: "<%dQ"}
+
+
+# Kronecker slots: little-endian slots of 1, 2, 4 or 8 bytes in one int, so
+# that one big-int product or sum works on every slot at once
+
+
+def slot_size(maxval):
+    """Bytes per slot for ints up to maxval: 1, 2, 4, 8 or more."""
+    return 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
+
+
+def to_slots(codes, size):
+    """The bytes of codes in slots of size <= 8 bytes."""
+    return bytes(codes) if size == 1 else struct.pack(_SLOT_FORMAT[size] % len(codes), *codes)
+
+
+def from_slots(raw, size, count, p):
+    """The first count slots of raw, each reduced mod p: one translate for
+    one-byte slots and p <= 16."""
+    if size == 1:
+        raw = raw[:count]
+        return list(raw.translate(_BYTE_MOD[p])) if p < 17 else [x % p for x in raw]
+    return [x % p for x in struct.unpack_from(_SLOT_FORMAT[size] % count, raw)]
 
 
 class DomainError(ValueError):
@@ -306,21 +331,14 @@ class Field:
         """The first out_len <= len(a) + len(b) - 1 codes of the convolution
         of nonempty code lists. Over F_p one big-int multiply (Kronecker
         substitution) in slots of 1, 2, 4 or 8 bytes, as wide as a coefficient's
-        integer value: bytes and one translate for one byte, struct for more.
+        integer value (to_slots, from_slots).
         For e > 1 on logs, -1 for zero; a log below 2(q-1) indexes exp."""
         if self.e == 1:
             p = self.p
-            maxval = (p - 1) * (p - 1) * min(len(a), len(b))
-            if maxval < 256:
-                raw = (int.from_bytes(bytes(a), "little")
-                       * int.from_bytes(bytes(b), "little")).to_bytes(len(a) + len(b), "little")
-                return list(raw[:out_len].translate(_BYTE_MOD[p]))
-            size = 1 << ((maxval.bit_length() + 7) // 8 - 1).bit_length()
-            fmt = "<%d" + "HIQ"[size.bit_length() - 2]
-            ia = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
-            ib = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
-            raw = (ia * ib).to_bytes(size * (len(a) + len(b)), "little")
-            return [x % p for x in struct.unpack_from(fmt % out_len, raw)]
+            size = slot_size((p - 1) * (p - 1) * min(len(a), len(b)))
+            raw = (int.from_bytes(to_slots(a, size), "little")
+                   * int.from_bytes(to_slots(b, size), "little"))
+            return from_slots(raw.to_bytes(size * (len(a) + len(b)), "little"), size, out_len, p)
         log, exp, zech, q1 = self.log, self.exp, self.zech, self.q - 1
         la = [log[c] for c in a]
         lb = [log[c] for c in b]

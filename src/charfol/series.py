@@ -20,7 +20,18 @@ either, so it keeps its coefficient series per precision with the converter
 that finds them, made once, and each coefficient is converted once (a
 constant over F_q straight to its code, one over F_q(t) through
 from_ratfunc). A constant polynomial, or zero, is served its kept series
-without a substitution. Whether two series agree below a window is read off
+without a substitution. Over F_p, with every coefficient free of t and every
+coordinate used of valuation >= 0, the substitution runs once over the
+integers (a Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
+2009): each coordinate packed into one int with the code of t^i in slot i,
+a power p^a * j as a spread of the slots by p^a (the Frobenius) raised to
+j, and one reduction mod p at the end. The precision is the one series
+products and sums give: the least, over the terms, of sum(k * v0) plus the
+least relative precision of the term's factors (prec for a coefficient, 0
+for a zero coordinate, whose v0 is its precision). Slots are 1, 2, 4 or 8
+bytes, as wide as the packed polynomial's value at t = 1; a wider slot, an
+extension field, a negative valuation or a coefficient that depends on t
+takes the series path. Whether two series agree below a window is read off
 their codes by agrees_below, with no difference built: a certificate
 compares, it does not subtract.
 """
@@ -397,7 +408,11 @@ def evaluate(poly, coords, prec):
     (a RatFunc has no hash); each coefficient is converted once. A
     polynomial with no variable term, a constant or zero, is its kept
     series: nothing is substituted. Any other goes through
-    MultiPoly.evaluate."""
+    MultiPoly.evaluate: over F_p, with coefficients free of t and the
+    coordinates used of valuation >= 0, as one packed-integer substitution
+    (_evaluate_packed) that gives the codes and precision of series
+    products and sums; on series when the slot would pass 8 bytes or any
+    of these fails."""
     try:
         kept = poly._series
     except AttributeError:
@@ -405,16 +420,22 @@ def evaluate(poly, coords, prec):
     got = kept.get(prec)
     if got is None:
         got = kept[prec] = _kept_series(poly, prec)
-    convert, constant = got
+    convert, constant, packed = got
     if constant is not None:
         return constant
+    if packed is not None:
+        out = _evaluate_packed(poly, packed, coords, prec)
+        if out is not None:
+            return out
     return poly.evaluate(coords, convert)
 
 
 def _kept_series(poly, prec):
-    """(convert, constant) for evaluate: convert maps each coefficient of
-    poly to its series at prec; constant is the series poly evaluates to
-    when it has no variable term, else None."""
+    """(convert, constant, packed) for evaluate: convert maps each
+    coefficient of poly to its series at prec; constant is the series poly
+    evaluates to when it has no variable term, else None; packed is
+    _evaluate_packed's plan, or None off F_p or with a coefficient that
+    depends on t."""
     domain = poly.domain
     if isinstance(domain, FunField):
         def series(c):
@@ -424,14 +445,137 @@ def _kept_series(poly, prec):
             return LaurentSeries.constant(domain, c, prec)
     terms = poly.terms
     if not terms:
-        return None, series(domain.zero())
+        return None, series(domain.zero()), None
     table = {id(c): series(c) for c in terms.values()}
     if len(terms) == 1 and not any(next(iter(terms))):
-        return None, next(iter(table.values()))
+        return None, next(iter(table.values())), None
 
     def convert(c):
         return table[id(c)]
-    return convert, None
+    return convert, None, _packed_plan(poly)
+
+
+def _packed_plan(poly):
+    """(field, code, terms, used) for _evaluate_packed, or None unless the
+    field is prime and every coefficient is free of t: code maps a
+    coefficient to its code by identity; terms holds per term its code and
+    (var, k, j) per variable of exponent k = p^a * j, p not dividing j; used
+    names the variables of poly."""
+    domain = poly.domain
+    field = domain.field if isinstance(domain, FunField) else domain
+    if field.e != 1:
+        return None
+    if isinstance(domain, FunField):
+        if not all(c.is_constant() for c in poly.terms.values()):
+            return None
+        codes = {id(c): c.constant_value().n for c in poly.terms.values()}
+    else:
+        codes = {id(c): c.n for c in poly.terms.values()}
+    p = field.p
+    terms = []
+    used = set()
+    for e, c in poly.terms.items():
+        factors = []
+        for v, k in zip(poly.vars, e):
+            if k:
+                j = k
+                while not j % p:
+                    j //= p
+                factors.append((v, k, j))
+                used.add(v)
+        terms.append((codes[id(c)], factors))
+
+    def code(c):
+        return codes[id(c)]
+    return field, code, terms, [v for v in poly.vars if v in used]
+
+
+class _Slots:
+    """A series of valuation v0 >= 0 packed for MultiPoly.evaluate over the
+    integers: raw holds its codes in slots of size bytes, from t^v0 on. s ** k
+    is the int whose slot i holds the unreduced coefficient of t^i in s^k,
+    below top: for k = p^a * j the codes are spread by p^a, which is the
+    Frobenius on F_p (c^p = c), and the int is raised to j. Codes whose
+    least contribution lands at or past top are left out."""
+
+    __slots__ = ("raw", "v0", "size", "p", "top")
+
+    def __init__(self, raw, v0, size, p, top):
+        self.raw, self.v0, self.size, self.p, self.top = raw, v0, size, p, top
+
+    def __pow__(self, k):
+        raw, size, p, v0 = self.raw, self.size, self.p, self.v0
+        a = 1
+        while not k % p:
+            k //= p
+            a *= p
+        # code i contributes at a * (k * v0 + i) and above
+        n = -(-self.top // a) - k * v0
+        raw = raw[: n * size] if n > 0 else b""
+        if not raw:
+            return 0
+        if a == 1:
+            return (int.from_bytes(raw, "little") << 8 * size * v0) ** k
+        step = size * a
+        start = step * v0
+        out = bytearray(start + a * len(raw) - step + size)
+        for i in range(size):
+            out[start + i :: step] = raw[i::size]
+        return int.from_bytes(out, "little") ** k
+
+
+def _evaluate_packed(poly, plan, coords, prec):
+    """poly at coords as one substitution over the integers, or None when a
+    coordinate it uses has a negative valuation or a slot would be wider
+    than 8 bytes. Each coordinate is packed with the code of t^i in slot i,
+    each coefficient is its code, and the sum is reduced mod p once.
+
+    The precision is the one series products and sums give: a product's
+    valuations add and its relative precision is its factors' least, a
+    coefficient's being prec and a zero coordinate's 0 (its v0 is its
+    precision), and a sum's precision is its terms' least. No coefficient
+    below it depends on a code whose least contribution lands at or past
+    it, so each power leaves such codes out. A slot holds the packed
+    polynomial's value at t = 1, the sum over the terms of c * prod(s^j), s
+    a coordinate's code sum: a sum or product of polynomials with
+    coefficients >= 0 bounds every coefficient by its value at 1, and a
+    spread by p^a leaves s as it is. A slot also holds each packed code,
+    up to p - 1, which a term with a zero factor leaves out of that sum."""
+    field, code, terms, used = plan
+    top = None
+    for _, factors in terms:
+        lo = 0
+        rel = prec
+        for v, k, _ in factors:
+            s = coords[v]
+            v0 = s.v0
+            if v0 < 0:
+                return None
+            lo += k * v0
+            if s.prec - v0 < rel:
+                rel = s.prec - v0
+        if top is None or lo + rel < top:
+            top = lo + rel
+    p = field.p
+    bound = 0
+    for c, factors in terms:
+        for v, _, j in factors:
+            c *= sum(coords[v]._c) ** j
+        bound += c
+    size = gf.slot_size(max(bound, p - 1))
+    if size > 8:
+        return None
+    total = poly.evaluate({v: _Slots(gf.to_slots(coords[v]._c, size), coords[v].v0, size, p, top)
+                           for v in used}, code)
+    # from the first nonzero slot to the last, cut at top
+    bits = 8 * size
+    low = ((total & -total).bit_length() - 1) // bits if total else top
+    if low >= top:
+        return _series(field, top, [], top)
+    total >>= bits * low
+    count = -(-total.bit_length() // bits)
+    raw = total.to_bytes(size * count, "little")
+    return from_codes(field, low, gf.from_slots(raw, size, min(count, top - low), p), top)
 
 
 def newton(F, name, coords, w, N):

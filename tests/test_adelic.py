@@ -8,7 +8,7 @@ from charfol import adelic, gf, series
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
 from charfol.foliation import Derivation, _generator_monomials, kernel_of_form
-from charfol.series import LaurentSeries, evaluate
+from charfol.series import LaurentSeries, evaluate, from_codes
 from charfol._linalg import solve_span
 from charfol.adelic import (
     LocalPoint,
@@ -316,6 +316,56 @@ def test_lift_evaluates_no_zero_polynomial(monkeypatch):
     monkeypatch.setattr(adelic, "evaluate", counting)
     assert lift_point(pt, pres).coords["z"].val() == 1
     assert zero_polys == []
+
+
+def test_a_constant_cofactor_divides_as_before_and_is_inverted_once(monkeypatch):
+    # x -> 2*u^3: the cofactor of u^3 is the constant 2, not 1, and every x
+    # has a pole at t = 0, so the quotient x/2 is known to N + v0, below N
+    pres = line_presentation("2*u^3")
+    points = [make_point(pres.target, {"x": from_codes(F3, v0, codes, prec)}, prec)
+              for v0, codes, prec in ((-3, [1, 0, 0, 2, 0, 0, 1], N), (-6, [2], N),
+                                      (-3, [1, 0, 0, 2, 0, 0, 1], 40))]
+    wanted = []
+    for pt in points:
+        x = pt.coords["x"]
+        quotient = x.truncate(pt.prec) / LaurentSeries.constant(F3, 2, pt.prec)
+        assert quotient.prec == min(pt.prec, pt.prec + x.v0) == pt.prec + x.v0
+        wanted.append(quotient.pth_root())
+    built, constants = [], []
+    reciprocal = LaurentSeries.reciprocal
+
+    def recording_reciprocal(s):
+        built.append(s.prec)
+        return reciprocal(s)
+
+    def recording_evaluate(poly, coords, prec):
+        if poly.is_constant():
+            constants.append(prec)
+        return evaluate(poly, coords, prec)
+
+    monkeypatch.setattr(LaurentSeries, "reciprocal", recording_reciprocal)
+    monkeypatch.setattr(adelic, "evaluate", recording_evaluate)
+    for pt, u in zip(points, wanted):
+        lifted = lift_point(pt, pres)
+        assert lifted.coords["u"] == u
+        assert lifted.prec == u.prec == -(-(pt.prec + pt.coords["x"].v0) // 3)
+    # one inverse per precision, evaluated and built once, then multiplied
+    assert built == constants == [N, 40]
+
+
+def test_a_constant_cofactor_that_vanishes_to_the_precision_waits():
+    # the cofactor t^70 is O(t^64) at N = 64, so the equation for x waits,
+    # as a vanishing cofactor's does; at 100 it divides (t^67 times t^-70 +
+    # O(t^-40) is t^-3 + O(t^27), whose cube root is known to t^9), and at
+    # 64 it waits again: a vanishing cofactor keeps no inverse
+    pres = line_presentation("t^70*u^3")
+    at = {prec: make_point(pres.target, {"x": from_codes(F3, 67, [1], prec)}, prec)
+          for prec in (N, 100)}
+    with pytest.raises(UnsupportedPresentation, match="cannot isolate"):
+        lift_point(at[N], pres)
+    assert lift_point(at[100], pres).coords["u"] == from_codes(F3, -1, [1], 9)
+    with pytest.raises(UnsupportedPresentation, match="cannot isolate"):
+        lift_point(at[N], pres)
 
 
 def point_dependent_presentation():

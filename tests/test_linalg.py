@@ -139,3 +139,43 @@ def test_codes_and_elements_track_the_same_span(field):
     targets = vectors[:3] + [{k: 1} for k in range(10)]
     assert [c if c is None else elements(c) for c in solve_span(vectors, targets, field)] \
         == solve_span([elements(v) for v in vectors], [elements(t) for t in targets])
+
+
+@pytest.mark.parametrize("field", [F5, gf.Field(5, 2), None], ids=["F_5", "F_25", "elements"])
+def test_rows_alias_lead_one_vectors_and_nothing_changes_them(field):
+    rng = random.Random(9)
+    q = F5.q if field is None else field.q
+
+    def scalar(n):
+        return F5.from_int(n) if field is None else n
+
+    one = scalar(1)
+    # 40 sparse vectors on 10 labels, about half of them leading with 1
+    vectors = []
+    for _ in range(40):
+        vec = {k: scalar(rng.randrange(1, q)) for k in rng.sample(range(10), rng.randrange(5))}
+        if vec and rng.random() < 0.5:
+            vec[min(vec)] = one
+        vectors.append(vec)
+    given = [dict(vec) for vec in vectors]
+    tracker = SpanTracker(field)
+    stored = []  # (row, its copy when stored)
+    aliased = 0
+    for i, vec in enumerate(vectors):
+        fresh = bool(vec) and min(vec) not in tracker.pos
+        count = len(tracker.rows)
+        tracker.insert(vec, i)
+        if len(tracker.rows) > count:
+            row = tracker.rows[-1][1]
+            # a vector with a fresh least label and lead 1 is the row itself;
+            # a reduced or rescaled one is a new dict
+            assert (row is vec) == (fresh and vec[min(vec)] == one)
+            aliased += row is vec
+            stored.append((row, dict(row)))
+        target = {k: scalar(rng.randrange(1, q)) for k in rng.sample(range(10), 3)}
+        before = dict(target)
+        tracker.reduce(target)
+        assert target == before
+        assert vectors == given
+        assert all(row == copy for row, copy in stored)
+    assert aliased > 0

@@ -1,23 +1,26 @@
 """Property tests: the field axioms, Frobenius and p-th roots, and series
 multiply (a one-term factor on either side too), sums, subtraction,
-negation, d/dt, reciprocal, division, powers and p-th roots over F_q with
-p in {2, 3, 5, 7}, e <= 4, each result in normal form, and field elements
-combined with series from either side;
-series.evaluate against a term-by-term reference over those fields and
-F_q(t), a second call reading the kept coefficient series, and a constant
-or zero polynomial served the same kept series each call; prime-field
-series products against the schoolbook convolution, on both sides of the
-one-byte Kronecker slot's edge; series conversion
-of rational functions and RatFunc normalisation, over random F_q with
-q = p^e, p in {3, 5, 7}, e <= 2; RatFunc arithmetic against its general
-construction over F_5 (inverse and powers over F_9 too); sparse elimination
-against dense Gaussian elimination over F_5, F_9 and F_5(t); chart normal
-forms (idempotent, blind to the relation ideal); the term-dict sum, product
-and normal form on F_q codes against the same kernels on elements over F_5,
-F_25 and F_27; the descent p-th roots in K = F_q(t) and in polynomial rings
-over F_q and K; MultiPoly one-term products and powers against the
-schoolbook double loop, over F_q with p in {2, 3, 5, 7}, e <= 4, and over
-F_q(t); the agreement of two series below a window against their
+negation, d/dt, reciprocal, division, powers and p-th roots over F_q with p
+in {2, 3, 5, 7}, e <= 4, each result in normal form, and field elements
+combined with series from either side; series.evaluate against a
+term-by-term reference over those fields and F_q(t), a second call reading
+the kept coefficient series, and a constant or zero polynomial served the
+same kept series each call; prime-field series products against the
+schoolbook convolution, on both sides of the one-byte Kronecker slot's edge;
+series.evaluate over F_p and F_p(t) against the term-by-term reference with
+long, zero and negative-valuation coordinates and exponents divisible by p,
+past each packed slot's edge; series conversion of rational functions and
+RatFunc normalisation, over random F_q with q = p^e, p in {3, 5, 7}, e <= 2;
+RatFunc arithmetic against its general construction over F_5 (inverse and
+powers over F_9 too); sparse elimination against dense Gaussian elimination
+over F_5, F_9 and F_5(t), with rows and inserted vectors never changed and a
+lead-1 vector stored as given; chart normal forms (idempotent, blind to the
+relation ideal); the term-dict sum, product (and the one-term product as a
+shift) and normal form on F_q codes against the same kernels on elements
+over F_5, F_25 and F_27; the descent p-th roots in K = F_q(t) and in
+polynomial rings over F_q and K; MultiPoly one-term products and powers
+against the schoolbook double loop, over F_q with p in {2, 3, 5, 7}, e <= 4,
+and over F_q(t); the agreement of two series below a window against their
 difference."""
 
 import operator
@@ -26,7 +29,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from charfol import gf
-from charfol._linalg import SpanTracker, _addmul, _mul, _nf, _submul, kernel_basis, solve_span
+from charfol._linalg import (SpanTracker, _addmul, _mul, _nf, _shift, _submul, kernel_basis,
+                             solve_span)
 from charfol.algebra import ChartAlgebra, FunField, MultiPoly, RatFunc, parse_poly
 from charfol.descent import (
     NoDescent,
@@ -531,6 +535,62 @@ def test_prime_series_mul_is_schoolbook_convolution(pair):
     assert _assert_normal(a * b) == from_codes(field, a.v0 + b.v0, [c % p for c in full], prec)
 
 
+@st.composite
+def prime_substitutions(draw):
+    """A polynomial in x and y over a prime field, or over F_p(t) with
+    coefficients free of t, of exponents up to 3 and multiples of p, and
+    two long series, which may be zero or of negative valuation."""
+    field = draw(prime_fields)
+    p = field.p
+    domain = draw(st.sampled_from([field, FunField(field)]))
+    exps = st.sampled_from([0, 1, 2, 3, p, 2 * p])
+    terms = draw(st.dictionaries(st.tuples(exps, exps), st.integers(1, p - 1),
+                                 min_size=1, max_size=4))
+    poly = MultiPoly(domain, ("x", "y"), {e: domain.from_int(c) for e, c in terms.items()})
+    zeros = st.builds(LaurentSeries.zero, st.just(field), st.integers(0, 40))
+    coords = {v: draw(st.one_of(long_series(field), zeros)) for v in poly.vars}
+    return poly, coords, draw(st.integers(1, 80))
+
+
+def _slot_edge(exponent, code):
+    """x^exponent over F_257 at x = code, one term: the unreduced value
+    code^exponent is the slot's bound itself, so a slot one byte narrower
+    than evaluate picks spills into the next."""
+    F257 = PRIME_FIELDS[2]
+    poly = MultiPoly(F257, ("x", "y"), {(exponent, 0): F257.one()})
+    return poly, {"x": LaurentSeries.constant(F257, code, 40),
+                  "y": LaurentSeries.zero(F257, 40)}, 30
+
+
+def _zero_factor():
+    """x*y + 1 over F_257 at x = 0 and y = 256: the polynomial's value at
+    t = 1 is 1, yet y's code needs a two-byte slot."""
+    F257 = PRIME_FIELDS[2]
+    poly = MultiPoly(F257, ("x", "y"), {(1, 1): F257.one(), (0, 0): F257.one()})
+    return poly, {"x": LaurentSeries.zero(F257, 0),
+                  "y": LaurentSeries.constant(F257, 256, 1)}, 1
+
+
+# series.evaluate takes the packed-integer substitution over F_p when every
+# coordinate it uses has valuation >= 0, else the series path; the examples
+# sit just past the 1-, 2- and 4-byte slots' edges (256, 2^16 and 2^32,
+# two-, four- and eight-byte slots) and past 8 bytes (2^64, the series
+# path), and one holds a code wider than the polynomial's value at t = 1
+@settings(deadline=None)
+@given(prime_substitutions())
+@example(_zero_factor())
+@example(_slot_edge(1, 256))
+@example(_slot_edge(2, 256))
+@example(_slot_edge(4, 256))
+@example(_slot_edge(8, 256))
+def test_prime_series_evaluate_is_termwise(case):
+    poly, coords, P = case
+    for _ in range(2):  # the second round reads the kept plan
+        got = _assert_normal(evaluate(poly, coords, P))
+        want = _evaluate_termwise(poly, coords, P)
+        assert (got.v0, got._c, got.prec) == (want.v0, want._c, want.prec)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_prime_series_add_neg_derivative_match_elements(data):
@@ -681,11 +741,16 @@ def test_span_tracker_matches_dense_elimination(data):
     domain = data.draw(st.sampled_from(LINALG_DOMAINS))
     vectors = data.draw(_sparse_vectors(domain, max_size=7))
     rank = _dense_rank(domain, vectors)
+    given = [dict(vec) for vec in vectors]
     tracker = SpanTracker()
     for i, vec in enumerate(vectors):
+        fresh = bool(vec) and min(vec) not in tracker.pos
         cert = tracker.insert(vec, i)
         if cert is not None:
             assert _combine(domain, vectors, cert) == vec
+        if fresh:
+            # independent: stored as given when it leads with 1, else a copy
+            assert (tracker.rows[-1][1] is vec) == (vec[min(vec)] == domain.one())
         # echelon: each row's least label is its pivot, with coefficient 1,
         # and pos maps distinct pivots to their rows
         rows = tracker.rows
@@ -704,10 +769,13 @@ def test_span_tracker_matches_dense_elimination(data):
                                           _nonzero_entries(domain), max_size=3)
                           if vectors else st.just({}))
         targets.append(_combine(domain, vectors, combo))
+    rows = [(pivot, dict(row), dict(combo)) for pivot, row, combo in tracker.rows]
     for target in targets:
         # the residual holds no pivot, and the rest of the target is the
         # certificate's combination of originals
+        before = dict(target)
         residual, combo = tracker.reduce(target)
+        assert target == before
         assert not any(k in tracker.pos for k in residual)
         assert _submul(None, dict(target), residual, domain.one()) \
             == _combine(domain, vectors, combo)
@@ -716,6 +784,8 @@ def test_span_tracker_matches_dense_elimination(data):
         assert (combo is not None) == inside
         if inside:
             assert _combine(domain, vectors, combo) == target
+    # neither insert nor reduce changed a stored row or a caller's vector
+    assert tracker.rows == rows and vectors == given
 
 
 # -- chart normal forms and descent to K^p --
@@ -804,6 +874,13 @@ def test_term_dict_kernels_on_codes_match_elements(data):
     assert _addmul(F, dict(b), neg_b) == {} == _addmul(None, _elems(F, b), _elems(F, neg_b))
     assert _addmul(F, _mul(F, a, b), _mul(F, a, neg_b)) == {}
     assert _mul(F, a, {}) == {} == _mul(None, {}, _elems(F, b))
+    # a one-term factor is a shift: the product's terms in the product's order
+    e = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    for scalar in (c, None):
+        term = {e: 1 if scalar is None else scalar}
+        assert list(_shift(F, a, e, scalar).items()) == list(_mul(F, a, term).items())
+        elems = _shift(None, _elems(F, a), e, None if scalar is None else _elems(F, term)[e])
+        assert list(elems.items()) == list(_mul(None, _elems(F, a), _elems(F, term)).items())
     # the subtracting multiply-add of the span tracker: a - c*b, term by
     # term on elements, and b - 1*b cancels
     expected = _elems(F, a)
