@@ -12,10 +12,11 @@ lifts exactly when every supplied section pulls back to zero.
 import random
 
 from .algebra import MultiPoly, FunField, restrict_to_field
-from .series import LaurentSeries, NotSimpleRoot, evaluate, from_codes, newton
+from .series import (LaurentSeries, NotSimpleRoot, PrecisionExhausted, evaluate,
+                     from_codes, newton)
 from .differentials import OneForm
 from .descent import descend_algebra, descend_derivation, pth_root_K, NoDescent
-from .foliation import _generator_monomials, _vector, frobenius_factorization_check
+from .foliation import _generator_monomials, _poly, _vector, frobenius_factorization_check
 from ._linalg import solve_span
 
 
@@ -27,18 +28,19 @@ class NotOnVariety(ValueError):
 
 
 class NoLift(Exception):
-    """The equation for coordinate needs a p-th root of the series for svar
-    that does not exist, or (svar None) the lift failed its verification."""
+    """The point has no lift: the value of the certificate of the source
+    variable name, s^p = certificate, has no p-th root at the point, or
+    (certificate None) the image of the target coordinate name differs
+    from it."""
 
-    def __init__(self, coordinate, svar=None):
-        self.coordinate = coordinate
-        self.svar = svar
+    def __init__(self, name, certificate=None):
+        self.name = name
+        self.certificate = certificate
 
     def __str__(self):
-        if self.svar is None:
-            return f"{self.coordinate}: lift verification failed"
-        return (f"{self.coordinate}: series for {self.svar} requires a p-th root "
-                f"that does not exist")
+        if self.certificate is None:
+            return f"{self.name}: lift verification failed"
+        return f"{self.name}: {self.name}^p = {self.certificate} has no p-th root at the point"
 
 
 class UnsupportedPresentation(ValueError):
@@ -211,26 +213,34 @@ class QuotientPresentation:
     """phi: source -> target, purely inseparable of degree p at chart level.
 
     images[v] is phi^*(v) as a polynomial on the source chart. Construction
-    verifies that the p-th power of every source variable lies in the subring
-    the images generate: the search spans image products up to degree 3p and
-    stops once every x^p is in their span; lift_point compares the
-    equations it sets aside. What lift_point does with the equation for v
-    depends only on which source variables are already assigned, so each
-    step is worked out once per (v, assigned set) by lift_step and kept in
-    _steps; the order of assignment can still differ from point to
-    point, since a factor may vanish at one point and not at another.
+    finds each source variable's certificate, the polynomial c_s in the
+    target coordinates with s^p = c_s(images): the search spans image
+    products up to degree 3p and stops once every s^p is in their span; a
+    product's tag is its exponent tuple over the images, taken in
+    target.vars order. A variable with no certificate is refused.
+
+    Frobenius is injective on F_q((t)) (Jacobson 1944), so at a target
+    point s is the unique p-th root of c_s there. The same fact certifies
+    an image f of v once, here: f with its coefficients raised to the p-th
+    power and each s replaced by c_s is f^p at a lift, so when it is v^p in
+    the target's normal form, f = v holds at every lifted point. compared
+    lists the target coordinates whose images are not certified. roots
+    holds, per source variable, (s, v, c) when the image of v is c*s with c
+    a nonzero constant and certified, so v / c is that p-th root
+    (lift_point divides by c's series, which keeps the precision a root
+    would divide by p), and (s, None, c_s) otherwise.
     """
 
-    __slots__ = ("source", "target", "images", "_steps")
+    __slots__ = ("source", "target", "images", "roots", "compared")
 
     def __init__(self, source, target, images):
         if source.domain != target.domain:
             raise UnsupportedPresentation("source and target have different domains")
-        p = source.domain.p
+        domain = source.domain
+        p = domain.p
         self.source = source
         self.target = target
         self.images = {}
-        self._steps = {}
         for v in target.vars:
             if v not in images:
                 raise UnsupportedPresentation(f"no image for target coordinate {v}")
@@ -243,51 +253,40 @@ class QuotientPresentation:
         bound = 3 * p
         image_list = list(self.images.values())
         # the span check runs over F_q when the chart and images are t-free
-        chart, image_list = (restrict_to_field(source, image_list)
-                             or (source, image_list))
+        restricted = restrict_to_field(source, image_list)
+        chart, image_list = restricted or (source, image_list)
         targets = [_vector(chart.nf(chart.var(s) ** p)) for s in chart.vars]
         products, _, _ = _generator_monomials(
             chart, [_vector(f) for f in image_list], bound, targets)
-        vectors = [vec for _, vec in products]
-        for s, combo in zip(source.vars, solve_span(vectors, targets, chart.domain)):
+        certificates = {}
+        for s, combo in zip(source.vars, solve_span(
+                [vec for _, vec in products], targets, chart.domain)):
             if combo is None:
                 raise UnsupportedPresentation(
                     f"{s}^{p} is not visibly in the image subring "
                     f"(degree bound {bound})"
                 )
+            c = _poly(chart.domain, target.vars,
+                      {products[i][0]: a for i, a in combo.items()})
+            certificates[s] = c if restricted is None else c.map_coeffs(
+                domain.from_field, domain)
 
-    def lift_step(self, v, assigned):
-        """What lift_point does with the equation for v once the source
-        variables in the frozenset assigned are known: _SET_ASIDE when none
-        of them is left open in it, _WAIT unless exactly one term holds an
-        open variable and only as a power p^j, and otherwise
-        (svar, j, factor, closed, inverses): the open variable, its root
-        count, the term's cofactor, the closed terms (None when there are
-        none) and, for a constant cofactor, the dict in which lift_point
-        keeps its inverse series per precision (None otherwise)."""
-        source = self.source
-        open_terms = []
-        closed = {}
-        for e, c in self.images[v].terms.items():
-            open_vars = [
-                i for i, k in enumerate(e) if k and source.vars[i] not in assigned
-            ]
-            if open_vars:
-                open_terms.append((e, c, open_vars))
-            else:
-                closed[e] = c
-        if not open_terms:
-            return _SET_ASIDE
-        if len(open_terms) > 1 or len(open_terms[0][2]) > 1:
-            return _WAIT
-        e, c, (ui,) = open_terms[0]
-        j = _pure_p_power(e[ui], source.domain.p)
-        if j is None:
-            return _WAIT  # another equation may pin the variable down first
-        rest = e[:ui] + (0,) + e[ui + 1 :]
-        factor = MultiPoly(source.domain, source.vars, {rest: c})
-        closed = MultiPoly(source.domain, source.vars, closed) if closed else None
-        return source.vars[ui], j, factor, closed, None if any(rest) else {}
+        def frobenius(c):
+            return MultiPoly.constant(domain, target.vars, c ** p)
+        self.compared = [
+            v for v, img in self.images.items()
+            if target.nf(img.evaluate(certificates, frobenius))
+            != target.nf(target.var(v) ** p)]
+        # v / c is the p-th root of c_s only where the image c*s is certified
+        linear = {}
+        for v, img in self.images.items():
+            if len(img.terms) == 1 and v not in self.compared:
+                ((e, c),) = img.terms.items()
+                if sum(e) == 1 and (not isinstance(domain, FunField) or c.is_constant()):
+                    linear.setdefault(source.vars[e.index(1)],
+                                      (v, MultiPoly.constant(domain, (), c)))
+        self.roots = [(s, *linear[s]) if s in linear else (s, None, certificates[s])
+                      for s in source.vars]
 
     def to_json(self):
         return {
@@ -297,94 +296,45 @@ class QuotientPresentation:
         }
 
 
-_SET_ASIDE = "set aside"
-_WAIT = "wait"
-
-
-def _pure_p_power(exp, p):
-    j = 0
-    m = exp
-    while m % p == 0:
-        m //= p
-        j += 1
-    return j if m == 1 else None
-
-
 def lift_point(point, pres):
-    """Solve phi^*(v)(source coords) = v(t) for every target coordinate v.
+    """The source point over a target point: phi^*(v)(lift) = v(t) for
+    every target coordinate v.
 
-    Triangular rounds: an equation becomes usable once it has exactly one
-    term containing exactly one undetermined source variable, raised to a
-    power p^j; that variable is then solved by division and j p-th roots,
-    unless its cofactor vanishes at this point, and the equation holds by
-    construction. The division multiplies by the cofactor's inverse series;
-    a constant cofactor keeps its inverse per precision in the step, so a
-    trial neither evaluates nor inverts it again. An equation with no
-    undetermined variable left is set aside. pres.lift_step says which case
-    applies, and each round walks the waiting equations once. Source
-    variables never pinned down default to 0. Each set-aside image is
-    compared with its target coordinate below the star horizon or the lower
-    precision of the two sides, whichever is lower; a p-th root divides the
-    precision by p, so at p = 5 and N = 64 every raynaud-local lift
-    compares y only to t^13, not t^32.
+    Each source variable s is read off pres.roots: the target coordinate v
+    truncated to the point's precision N and divided by c's series when
+    v's image is a certified c*s, else the p-th root of c_s at the point, known to
+    about N/p; NoLift names s and c_s when that value has none. The window
+    is the least precision of these values; when it is not positive
+    nothing is known and PrecisionExhausted is raised, never a lift. Each
+    image in pres.compared is compared with its coordinate below the star
+    horizon or the window, whichever is lower (NoLift names v when they
+    differ); the others hold by their certificates. make_point then
+    certifies the source relations at the window.
     """
     if point.chart is not pres.target and point.chart != pres.target:
         raise TypeError("point does not live on the target chart")
-    source = pres.source
-    field = _base_field(source)
     N = point.prec
-    prec = N
-    steps = pres._steps
-    assigned = {}
-    known = frozenset()
-    set_aside = set()
-    pending = pres.target.vars
-    while pending:
-        waiting = []
-        for v in pending:
-            step = steps.get((v, known))
-            if step is None:
-                step = steps[v, known] = pres.lift_step(v, known)
-            if step is _SET_ASIDE:
-                set_aside.add(v)
-                continue
-            if step is not _WAIT:
-                svar, j, cofactor, closed, inverses = step
-                inverse = None if inverses is None else inverses.get(N)
-                if inverse is None:
-                    factor = evaluate(cofactor, assigned, N)
-                    if not factor.is_zero():
-                        inverse = factor ** -1
-                        if inverses is not None:
-                            inverses[N] = inverse
-                if inverse is not None:
-                    rhs = point.coords[v]
-                    rest = (rhs - evaluate(closed, assigned, N) if closed is not None
-                            else rhs.truncate(N))
-                    val = rest * inverse
-                    for _ in range(j):
-                        val = val.pth_root()
-                        if val is None:
-                            raise NoLift(v, svar)
-                    assigned[svar] = val
-                    prec = val.prec if val.prec < prec else prec
-                    known = known | {svar}
-                    continue
-            waiting.append(v)
-        if len(waiting) == len(pending):
-            raise UnsupportedPresentation(
-                f"cannot isolate a source variable in the equation for {pending[0]}"
-            )
-        pending = waiting
-    for s in source.vars:
-        if s not in assigned:
-            assigned[s] = LaurentSeries.zero(field, N)
+    coords = point.coords
+    values = {}
+    window = N
+    for s, v, poly in pres.roots:
+        if v is None:
+            val = evaluate(poly, coords, N).pth_root()
+            if val is None:
+                raise NoLift(s, poly)
+        else:
+            val = coords[v].truncate(N) / evaluate(poly, coords, N)
+        values[s] = val
+        window = val.prec if val.prec < window else window
+    if window <= 0:
+        raise PrecisionExhausted(
+            f"a lift at precision {N} is known only to O(t^{window})")
     horizon = star_horizon(N)
-    for v in pres.target.vars:
-        if v in set_aside and not evaluate(
-                pres.images[v], assigned, prec).agrees_below(point.coords[v], horizon):
+    below = window if window < horizon else horizon
+    for v in pres.compared:
+        if not evaluate(pres.images[v], values, window).agrees_below(coords[v], below):
             raise NoLift(v)
-    return make_point(source, assigned, prec)
+    return make_point(pres.source, values, window)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +498,7 @@ def verify_equivalence(
             lift_point(point, pres)
             lift_yes += 1
         except NoLift as e:
-            missing = e.coordinate, e.svar
+            missing = e.name, e.certificate
             lift_no += 1
         if star:
             star_yes += 1

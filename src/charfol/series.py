@@ -20,9 +20,10 @@ either, so it keeps its coefficient series per precision with the converter
 that finds them, made once, and each coefficient is converted once (a
 constant over F_q straight to its code, one over F_q(t) through
 from_ratfunc). A constant polynomial, or zero, is served its kept series
-without a substitution. Over F_p, with every coefficient free of t and every
-coordinate used of valuation >= 0, the substitution runs once over the
-integers (a Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
+without a substitution, and one term is a kept series power times its
+coefficient. Over F_p, with two terms or more, every coefficient free of t
+and every coordinate used of valuation >= 0, the substitution runs once over
+the integers (a Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
 2009): each coordinate packed into one int with the code of t^i in slot i,
 a power p^a * j as a spread of the slots by p^a (the Frobenius) raised to
 j, and one reduction mod p at the end. The precision is the one series
@@ -145,9 +146,6 @@ class LaurentSeries:
         if not self._c:
             raise PrecisionExhausted(f"series is zero to precision O(t^{self.prec})")
         return self.v0
-
-    def is_zero(self):
-        return not self._c
 
     def coeff(self, k):
         if k >= self.prec:
@@ -408,9 +406,9 @@ def evaluate(poly, coords, prec):
     (a RatFunc has no hash); each coefficient is converted once. A
     polynomial with no variable term, a constant or zero, is its kept
     series: nothing is substituted. Any other goes through
-    MultiPoly.evaluate: over F_p, with coefficients free of t and the
-    coordinates used of valuation >= 0, as one packed-integer substitution
-    (_evaluate_packed) that gives the codes and precision of series
+    MultiPoly.evaluate: over F_p, with two terms or more, coefficients free
+    of t and the coordinates used of valuation >= 0, as one packed-integer
+    substitution (_evaluate_packed) that gives the codes and precision of series
     products and sums; on series when the slot would pass 8 bytes or any
     of these fails."""
     try:
@@ -457,13 +455,14 @@ def _kept_series(poly, prec):
 
 def _packed_plan(poly):
     """(field, code, terms, used) for _evaluate_packed, or None unless the
-    field is prime and every coefficient is free of t: code maps a
-    coefficient to its code by identity; terms holds per term its code and
-    (var, k, j) per variable of exponent k = p^a * j, p not dividing j; used
-    names the variables of poly."""
+    field is prime, every coefficient is free of t and poly has two terms
+    or more (one term is a kept power of a series times its coefficient):
+    code maps a coefficient to its code by identity; terms holds per term
+    its code and (var, k, j) per variable of exponent k = p^a * j, p not
+    dividing j; used names the variables of poly."""
     domain = poly.domain
     field = domain.field if isinstance(domain, FunField) else domain
-    if field.e != 1:
+    if field.e != 1 or len(poly.terms) == 1:
         return None
     if isinstance(domain, FunField):
         if not all(c.is_constant() for c in poly.terms.values()):

@@ -8,7 +8,7 @@ from charfol import adelic, gf, series
 from charfol.algebra import ChartAlgebra, FunField, parse_poly
 from charfol.differentials import OneForm, reduce_form
 from charfol.foliation import Derivation, _generator_monomials, kernel_of_form
-from charfol.series import LaurentSeries, evaluate, from_codes
+from charfol.series import LaurentSeries, PrecisionExhausted, evaluate, from_codes
 from charfol._linalg import solve_span
 from charfol.adelic import (
     LocalPoint,
@@ -174,7 +174,8 @@ def test_pullback_dx_oracles():
     p1 = make_point(A1, {"x": LaurentSeries.t_power(F3, 1, N)}, N)
     assert str(pullback_form(p1, dx)).startswith("1")
     p3 = make_point(A1, {"x": LaurentSeries.t_power(F3, 3, N)}, N)
-    assert pullback_form(p3, dx).is_zero()
+    pb = pullback_form(p3, dx)
+    assert not pb.nonzero_before(pb.prec)
 
 
 def test_pullback_matches_chain_rule():
@@ -319,9 +320,12 @@ def test_lift_evaluates_no_zero_polynomial(monkeypatch):
 
 
 def test_a_constant_cofactor_divides_as_before_and_is_inverted_once(monkeypatch):
-    # x -> 2*u^3: the cofactor of u^3 is the constant 2, not 1, and every x
-    # has a pole at t = 0, so the quotient x/2 is known to N + v0, below N
-    pres = line_presentation("2*u^3")
+    # x -> 2*u: u is x divided by the series of 2, with no root, so it keeps
+    # the quotient's precision, min(prec, prec + v0) for a pole at t = 0;
+    # the constant's series is kept per precision, so 2 is inverted once
+    # per precision however many points divide by it
+    pres = line_presentation("2*u")
+    assert [(s, v, str(c)) for s, v, c in pres.roots] == [("u", "x", "2")]
     points = [make_point(pres.target, {"x": from_codes(F3, v0, codes, prec)}, prec)
               for v0, codes, prec in ((-3, [1, 0, 0, 2, 0, 0, 1], N), (-6, [2], N),
                                       (-3, [1, 0, 0, 2, 0, 0, 1], 40))]
@@ -330,47 +334,43 @@ def test_a_constant_cofactor_divides_as_before_and_is_inverted_once(monkeypatch)
         x = pt.coords["x"]
         quotient = x.truncate(pt.prec) / LaurentSeries.constant(F3, 2, pt.prec)
         assert quotient.prec == min(pt.prec, pt.prec + x.v0) == pt.prec + x.v0
-        wanted.append(quotient.pth_root())
-    built, constants = [], []
+        wanted.append(quotient)
+    built = []
     reciprocal = LaurentSeries.reciprocal
 
     def recording_reciprocal(s):
         built.append(s.prec)
         return reciprocal(s)
 
-    def recording_evaluate(poly, coords, prec):
-        if poly.is_constant():
-            constants.append(prec)
-        return evaluate(poly, coords, prec)
-
     monkeypatch.setattr(LaurentSeries, "reciprocal", recording_reciprocal)
-    monkeypatch.setattr(adelic, "evaluate", recording_evaluate)
     for pt, u in zip(points, wanted):
         lifted = lift_point(pt, pres)
         assert lifted.coords["u"] == u
-        assert lifted.prec == u.prec == -(-(pt.prec + pt.coords["x"].v0) // 3)
-    # one inverse per precision, evaluated and built once, then multiplied
-    assert built == constants == [N, 40]
+        assert lifted.prec == u.prec
+    assert built == [N, 40]
 
 
-def test_a_constant_cofactor_that_vanishes_to_the_precision_waits():
-    # the cofactor t^70 is O(t^64) at N = 64, so the equation for x waits,
-    # as a vanishing cofactor's does; at 100 it divides (t^67 times t^-70 +
-    # O(t^-40) is t^-3 + O(t^27), whose cube root is known to t^9), and at
-    # 64 it waits again: a vanishing cofactor keeps no inverse
+def test_a_lift_known_to_no_positive_precision_is_undecided():
+    # u^3 = x / t^70: at N = 64, x = t^67 is O(t^64), so u^3 is O(t^-6) and
+    # its cube root O(t^-2) knows no coefficient: the lift is undecided, not
+    # a lift and not an obstruction. At 100, u^3 = t^-3 + O(t^30), whose
+    # cube root is known to t^10; at 64 it is undecided again
     pres = line_presentation("t^70*u^3")
     at = {prec: make_point(pres.target, {"x": from_codes(F3, 67, [1], prec)}, prec)
           for prec in (N, 100)}
-    with pytest.raises(UnsupportedPresentation, match="cannot isolate"):
+    undecided = r"^a lift at precision 64 is known only to O\(t\^-2\)$"
+    with pytest.raises(PrecisionExhausted, match=undecided):
         lift_point(at[N], pres)
-    assert lift_point(at[100], pres).coords["u"] == from_codes(F3, -1, [1], 9)
-    with pytest.raises(UnsupportedPresentation, match="cannot isolate"):
+    lifted = lift_point(at[100], pres)
+    assert lifted.coords["u"] == from_codes(F3, -1, [1], 10)
+    assert lifted.prec == 10
+    with pytest.raises(PrecisionExhausted, match=undecided):
         lift_point(at[N], pres)
 
 
 def point_dependent_presentation():
-    # y = a*b^3 solves b where a does not vanish; where it does, z = b^3
-    # solves b and the equation for y is only verified
+    # a^3 = x and b^3 = z; y's image a*b^3 becomes x*z^3, not y^3, so it is
+    # not certified and every lift compares it
     S = ChartAlgebra(K, ("a", "b"), [])
     T = ChartAlgebra(K, ("x", "y", "z"), [])
     images = {v: parse_poly(img, S.vars, K)
@@ -381,13 +381,13 @@ def point_dependent_presentation():
 def _lift_or_error(point, pres):
     try:
         return lift_point(point, pres).to_json()
-    except (NoLift, UnsupportedPresentation) as e:
+    except NoLift as e:
         return f"{type(e).__name__}: {e}"
 
 
 def point_dependent_points(T):
-    # a, b = t, t + t^2; the first two lift, z set aside in the first and y
-    # in the second
+    # a, b = t, t + t^2; the first two lift, the third has no cube root of
+    # x, and in the last two y's image differs from y
     t = LaurentSeries.t_power(F3, 1, N)
     zero = LaurentSeries.zero(F3, N)
     a, b = t, t + t * t
@@ -400,18 +400,28 @@ def point_dependent_points(T):
     )]
 
 
-def test_lift_steps_depend_on_the_point():
+def test_lift_steps_depend_on_the_point(monkeypatch):
     T, build = point_dependent_presentation()
+    assert build().compared == ["y"]
     points = point_dependent_points(T)
+    windows = []
+    agrees_below = LaurentSeries.agrees_below
+
+    def recording(s, other, n):
+        windows.append(min(n, s.prec, other.prec))
+        return agrees_below(s, other, n)
+
+    monkeypatch.setattr(LaurentSeries, "agrees_below", recording)
     fresh = [_lift_or_error(pt, build()) for pt in points]
     # the terms of a and b, to the precision the roots leave
     assert [fresh[0][v].split("O(")[0] for v in "ab"] == ["t + ", "t + t^2 + "]
     assert [fresh[1][v].split("O(")[0] for v in "ab"] == ["", "t + t^2 + "]
-    assert fresh[2] == "NoLift: x: series for a requires a p-th root that does not exist"
-    assert fresh[3] == "NoLift: y: lift verification failed"
-    assert fresh[4] == "NoLift: y: series for b requires a p-th root that does not exist"
-    # one presentation for every point, in either order, keeps its steps
-    # per assigned set: the same lifts and errors
+    assert fresh[2] == "NoLift: a: a^p = x has no p-th root at the point"
+    assert fresh[3] == fresh[4] == "NoLift: y: lift verification failed"
+    # y is compared below the window the cube roots leave, ceil(64/3)
+    assert windows == [22] * 4
+    # one presentation for every point, in either order: the same lifts
+    # and errors
     for order in (points, points[::-1]):
         shared = build()
         got = [_lift_or_error(pt, shared) for pt in order]
@@ -425,14 +435,23 @@ def sum_of_powers_presentation():
                                        "y": parse_poly("u^3 - v^3", S.vars, K)})
 
 
-def test_lift_cannot_isolate_in_a_sum_of_powers():
+def test_lift_through_a_sum_of_powers():
+    # u^3 = 2x + 2y and v^3 = 2x + y over F_3: no image isolates a source
+    # variable, each is the cube root of its certificate, and both images
+    # are certified, so no lift compares one
     pres = sum_of_powers_presentation()
+    assert [(s, v, str(c)) for s, v, c in pres.roots] == [
+        ("u", None, "2*x + 2*y"), ("v", None, "2*x + y")]
+    assert pres.compared == []
+    t = LaurentSeries.t_power(F3, 1, N)
     t3 = LaurentSeries.t_power(F3, 3, N)
-    pt = make_point(pres.target, {"x": t3, "y": t3}, N)
-    for _ in range(2):  # the second call reads the memo
-        with pytest.raises(UnsupportedPresentation,
-                           match="cannot isolate a source variable in the equation for x"):
-            lift_point(pt, pres)
+    lifted = lift_point(make_point(pres.target, {"x": t3, "y": t3}, N), pres)
+    # u^3 = 4t^3 = t^3 and v^3 = 3t^3 = 0
+    assert lifted.coords == {"u": from_codes(F3, 1, [1], 22), "v": from_codes(F3, 0, [], 22)}
+    # at x = t, y = 0, u^3 = 2t is no cube
+    bad = make_point(pres.target, {"x": t, "y": LaurentSeries.zero(F3, N)}, N)
+    with pytest.raises(NoLift, match=r"^u: u\^p = 2\*x \+ 2\*y has no p-th root at the point$"):
+        lift_point(bad, pres)
 
 
 def _stopped_and_full_closures(monkeypatch, build):
@@ -505,34 +524,32 @@ def test_presentation_span_stops_when_a_row_holds_an_earlier_pivot(monkeypatch):
 
 
 def test_raynaud_lifts_are_verified_to_the_precision_a_root_leaves(monkeypatch):
-    # x = x_s^5 and z = z_s^5 solve their variables and leave their roots
-    # precision ceil(64/5) = 13; y = z_s^3 + 4*x_s, set aside once both are
-    # known, is the one image compared, and only to t^13
-    pres = preset_presentation("raynaud-local", 5)
-    assert not pres.source.relations  # make_point checks nothing on the lift
-    rng = random.Random(1)
-    points = [random_local_point(pres.target, rng, N) for _ in range(40)]
+    # x = x_s^5 and z = z_s^5 give roots of precision ceil(64/5) = 13, and
+    # y's image z_s^3 + 4*x_s becomes z^3 + 4x = y^5, so it is certified:
+    # neither preset compares an equation, over F_5 or F_25, and a
+    # raynaud-local lift, with no source relation, compares nothing
     checked = []
     agrees_below = LaurentSeries.agrees_below
 
     def recording(s, other, n):
-        # the target coordinate compared and the window the comparison reads
-        checked.append((other, min(n, s.prec, other.prec)))
+        checked.append(n)
         return agrees_below(s, other, n)
 
     monkeypatch.setattr(LaurentSeries, "agrees_below", recording)
-    horizons = []
-    for pt in points:
-        checked.clear()
-        try:
-            lift_point(pt, pres)
-        except NoLift:
-            continue
-        ((target, window),) = checked
-        assert target is pt.coords["y"]
-        horizons.append(window)
-    assert adelic.star_horizon(N) == 32
-    assert len(horizons) > 10 and set(horizons) == {13}
+    for q in (5, 25):
+        assert preset_presentation("affine-plane", q).compared == []
+        pres = preset_presentation("raynaud-local", q)
+        assert pres.compared == [] and not pres.source.relations
+        rng = random.Random(1)
+        points = [random_local_point(pres.target, rng, N) for _ in range(40)]
+        windows = []
+        for pt in points:
+            try:
+                windows.append(lift_point(pt, pres).prec)
+            except NoLift:
+                continue
+        assert checked == []
+        assert len(windows) > 10 and set(windows) == {13}
 
 
 def preset_presentation(name, q):
@@ -545,19 +562,54 @@ def preset_presentation(name, q):
                                 report.power_certificates)
 
 
-@pytest.mark.parametrize("build", [
-    *(lambda name=name, q=q: preset_presentation(name, q)
+def uncertified_linear_presentation():
+    # x -> u, y -> u^3: u^3 = y, so x's image u becomes y, not x^3; x is
+    # compared, and u is the cube root of y, not x
+    S = ChartAlgebra(K, ("u",), [])
+    T = ChartAlgebra(K, ("x", "y"), [])
+    return QuotientPresentation(S, T, {"x": parse_poly("u", S.vars, K),
+                                       "y": parse_poly("u^3", S.vars, K)})
+
+
+def uncertified_linear_points(T):
+    t = LaurentSeries.t_power(F3, 1, N)
+    u = t + t * t
+    return [make_point(T, coords, N) for coords in (
+        {"x": u, "y": u**3},
+        {"x": t, "y": t**3},
+        {"x": t, "y": LaurentSeries.zero(F3, N)},
+        {"x": t, "y": u**3},
+    )]
+
+
+def test_a_linear_image_is_divided_only_when_certified():
+    # dividing x by 1 would lift (t, 0) to u = t, whose image t^3 under y
+    # is not 0; u is the cube root of y's certificate, and x is compared
+    pres = uncertified_linear_presentation()
+    assert [(s, v, str(c)) for s, v, c in pres.roots] == [("u", None, "y")]
+    assert pres.compared == ["x"]
+    got = [_lift_or_error(pt, pres) for pt in uncertified_linear_points(pres.target)]
+    assert got[0]["u"].startswith("t + t^2 + ")
+    assert got[1]["u"].startswith("t + O(")
+    assert got[2] == got[3] == "NoLift: x: lift verification failed"
+    # the certified x -> 2*u of line_presentation still divides
+    assert [(s, v) for s, v, _ in line_presentation("2*u").roots] == [("u", "x")]
+
+
+@pytest.mark.parametrize("build, extra_points", [
+    *((lambda name=name, q=q: preset_presentation(name, q), None)
       for name in ("raynaud-local", "affine-plane") for q in (5, 25)),
-    lambda: point_dependent_presentation()[1](),
+    (lambda: point_dependent_presentation()[1](), point_dependent_points),
+    (uncertified_linear_presentation, uncertified_linear_points),
 ], ids=["raynaud-local-F5", "raynaud-local-F25", "affine-plane-F5", "affine-plane-F25",
-        "point-dependent"])
-def test_every_image_holds_at_a_returned_lift(build):
-    # lift_point compares only the images it set aside: an image that solved
-    # a variable by division and p-th roots holds by construction, here
+        "point-dependent", "uncertified-linear"])
+def test_every_image_holds_at_a_returned_lift(build, extra_points):
+    # lift_point compares only the images its certificates leave open: a
+    # certified image holds at every lift by Frobenius injectivity, here
     # checked by subtraction at every lift it returns
     pres = build()
     target = pres.target
-    points = point_dependent_points(target) if target.domain.p == 3 else []
+    points = extra_points(target) if extra_points else []
     for seed in range(10):
         rng = random.Random(seed)
         points += [random_local_point(target, rng, N) for _ in range(20)]
@@ -648,6 +700,24 @@ def test_verify_equivalence_passes_with_unit_section():
     assert rep["counterexamples"] == []
     assert rep["buckets_ok"]
     assert rep["generation_basis"] == "unit-coefficient-section"
+
+
+@pytest.mark.parametrize("p, lifts", [(3, 82), (5, 67), (7, 49)])
+def test_verify_equivalence_lifts_through_a_source_relation(p, lifts):
+    # D = x*d/dx - y*d/dy kills d(x*y): its constants present as w1^p =
+    # w2*w3 with x -> w3 and y -> w2. No image holds w1, so its value is the
+    # p-th root of its certificate x*y at the point, which exists exactly
+    # when d(x*y) pulls back to zero; a w1 set to 0 fails the relation
+    Kp = FunField(gf.Field(p))
+    C = ChartAlgebra(Kp, ("x", "y"), [])
+    form = OneForm.d(C, C.var("x") * C.var("y"))
+    descended = descend_and_factor(C, kernel_of_form(form))
+    assert [str(rel.poly) for rel in descended.factorization.quotient.relations] == [
+        f"w1^{p} + {p - 1}*w2*w3"]
+    rep = verify_equivalence(descended, [form], trials=200, seed=1)
+    assert rep["counterexamples"] == []
+    assert rep["lift_exists"] == rep["star_false"] == lifts
+    assert rep["lift_fails"] == rep["star_true"] == 200 - lifts
 
 
 def test_verify_equivalence_inconclusive_paths():

@@ -302,15 +302,16 @@ GOLDEN = [
     ("pipeline --p 17 --d 2 --trials 5 --seed 1 --json",
      "dd7deff28eb0074a0989ef0bf22be292d56c8704c3ee722dca9655917a1d1d28"),
     # at p = 17 (p-1)^2 >= 256, so series products take two-byte slots;
-    # the trial log prints every sampled and lifted point
+    # the trial log prints every sampled and lifted point, and a failed
+    # lift names the source variable whose certificate has no p-th root
     ("equiv-check --p 17 --d 2 --trials 50 --seed 1 --verbose --json",
-     "83e04284e486775d97f89219c0c67a4bf13d3337a73318514449aa7428887c81"),
+     "cd86fe44e73474ab3ba24f4b2c7624787a36cad2a3516d6266f922930d3518e4"),
     # recorded before series.evaluate became the one substitution of series
     # into chart polynomials: trial logs print every sampled and lifted
     # point, the ledger derives degN = dp - 3 (7 here), and star counts and
     # the chain-rule witness on the affine plane
     ("equiv-check --p 5 --d 3 --trials 40 --seed 1 --verbose --json",
-     "5749aa3e2dcadef33bf036330f13447530af3b8240adf6c9d77438623b79eb82"),
+     "b015d2555bdef12c87b6fd41bf1757f181ad2928278c3437b7a4bcd30a05afc7"),
     ("raynaud-ledger --p 5 --d 2 --json",
      "72a500ed7db59a01d20ed7580edd43fae8fdbf268d3c552af332662a997a3ffe"),
     ("star-check --p 5 --d 3 --chart affine-plane --trials 30 --seed 2 --json",

@@ -553,11 +553,12 @@ def prime_substitutions(draw):
 
 
 def _slot_edge(exponent, code):
-    """x^exponent over F_257 at x = code, one term: the unreduced value
-    code^exponent is the slot's bound itself, so a slot one byte narrower
-    than evaluate picks spills into the next."""
+    """x^exponent + y over F_257 at x = code and y = 0: two terms, so the
+    packed path takes it, and the unreduced value code^exponent is the
+    slot's bound itself, so a slot one byte narrower than evaluate picks
+    spills into the next."""
     F257 = PRIME_FIELDS[2]
-    poly = MultiPoly(F257, ("x", "y"), {(exponent, 0): F257.one()})
+    poly = MultiPoly(F257, ("x", "y"), {(exponent, 0): F257.one(), (0, 1): F257.one()})
     return poly, {"x": LaurentSeries.constant(F257, code, 40),
                   "y": LaurentSeries.zero(F257, 40)}, 30
 
@@ -571,8 +572,9 @@ def _zero_factor():
                   "y": LaurentSeries.constant(F257, 256, 1)}, 1
 
 
-# series.evaluate takes the packed-integer substitution over F_p when every
-# coordinate it uses has valuation >= 0, else the series path; the examples
+# series.evaluate takes the packed-integer substitution over F_p when the
+# polynomial has two terms or more and every coordinate it uses has
+# valuation >= 0, else the series path; the examples
 # sit just past the 1-, 2- and 4-byte slots' edges (256, 2^16 and 2^32,
 # two-, four- and eight-byte slots) and past 8 bytes (2^64, the series
 # path), and one holds a code wider than the polynomial's value at t = 1

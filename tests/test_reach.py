@@ -96,6 +96,9 @@ KEPT = {
     "series.LaurentSeries.__init__": "builds a series from elements; perfbench/probes.py uses it",
     "series.LaurentSeries.coeffs": "the coefficients as elements, for tests",
     "series.LaurentSeries.coeff": "one coefficient as an element, for tests",
+    "series.LaurentSeries.agrees_below":
+        "compares an uncertified image in lift_point and a relation in make_point; "
+        "no preset presentation has either, ROADMAP direction 15's x*y form will",
     "adelic.NotOnVariety.__init__": LIBRARY_ERROR + " (coordinates off the chart)",
     "algebra.UnknownVariable.__init__": LIBRARY_ERROR + " (a name the chart lacks)",
     "gf.Field._fmt_mod": "the modulus text of Field.__repr__ and ReducibleModulus",

@@ -40,7 +40,7 @@ def test_reciprocal_and_division():
     rng = random.Random(3)
     for _ in range(25):
         s = rand_series(F5, rng, 12)
-        if s.is_zero():
+        if not s.nonzero_before(s.prec):
             continue
         r = s.reciprocal()
         one = s * r
